@@ -8,8 +8,10 @@ Subcommands:
 * entangle: post-oracle entanglement survey.
 * verify: run the built-in verification suites.
 
-Exit codes: 0 success, 2 bad input, 3 promise violation, 4 verification
-failure.  JSON output is byte-identical across runs for the same inputs.
+Exit codes: 0 success; 2 bad input, including a --tol outside
+0 <= tol < 0.5 and a table too large for the run mode; 3 promise
+violation; 4 a failed `verify` suite or a failed self-check inside `run`.
+JSON output is byte-identical across runs for the same inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import sys
 from .boolfn import TruthTable, TruthTableError, parse_truth_table
 from .oracle_compiler import CircuitParseError, emit_text, synthesis_report
 from .reports import entanglement_survey, enumeration_report
-from .dj_runner import PromiseViolationError, classical_decide, run_original, run_refined
+from .dj_runner import (
+    PromiseViolationError,
+    SelfCheckError,
+    classical_decide,
+    run_original,
+    run_refined,
+)
 from .simulator import sample_counts
 from .verify import run_verification
 
@@ -108,16 +116,16 @@ def _inline_circuit(circuit_text: str) -> str:
     return "; ".join(circuit_text.strip().splitlines())
 
 
+def _check_tol(tol: float) -> None:
+    # The constant band |a| >= 1 - tol and the balanced band |a| <= tol
+    # overlap from tol = 0.5 on; the chained test also rejects nan.
+    if not 0.0 <= tol < 0.5:
+        raise ValueError(f"--tol must satisfy 0 <= tol < 0.5, got {tol!r}")
+
+
 def _synth_payload(t: TruthTable) -> dict:
     r = synthesis_report(t)
-    return {
-        "truth_table": t.text,
-        "anf": r.anf.render(),
-        "circuit": emit_text(r.circuit),
-        "type": int(r.construction_type) if r.construction_type is not None else None,
-        "gate_counts": r.counts.as_dict(),
-        "dropped_global_sign": r.dropped_global_sign,
-    }
+    return {**r.as_dict(), "dropped_global_sign": r.dropped_global_sign}
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -183,6 +191,7 @@ def _render_run_text(payload: dict) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     tables = _load_tables(args)
     single = args.truth is not None
     payloads = [_run_payload(t, args) for t in tables]
@@ -244,6 +253,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     results = run_verification(tol=args.tol)
     if args.json:
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
@@ -277,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except PromiseViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROMISE
+    except SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (TruthTableError, CircuitParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

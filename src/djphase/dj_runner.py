@@ -25,6 +25,7 @@ import numpy as np
 from .boolfn import FunctionClass, TruthTable, classify, moebius_transform
 from .oracle_compiler import Hadamard, PhaseFlip, synthesize
 from .simulator import (
+    MAX_QUBITS,
     EntanglementProfile,
     StateVector,
     apply_circuit,
@@ -51,6 +52,10 @@ class Mode(Enum):
 
 class PromiseViolationError(ValueError):
     """The function is neither constant nor balanced."""
+
+
+class SelfCheckError(RuntimeError):
+    """A run's own consistency check failed: the simulated oracle misbehaved."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,15 @@ def _decide(zero: float, tol: float) -> Verdict:
         return Verdict.CONSTANT
     if abs(zero) <= tol:
         return Verdict.BALANCED
-    raise RuntimeError(
+    raise SelfCheckError(
         f"zero amplitude {zero!r} is neither near 0 nor near +-1; bad oracle?"
     )
 
 
 def run_refined(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     """One oracle query on n qubits using the synthesized phase circuit."""
+    if t.n > MAX_QUBITS:
+        raise ValueError(f"refined mode supports n <= {MAX_QUBITS}, got n={t.n}")
     _check_promise(t)
     anf = moebius_transform(t)
     circuit = synthesize(anf)
@@ -109,7 +116,7 @@ def run_refined(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
         final_probabilities=probabilities(state),
         queries_used=1,
         mode=Mode.REFINED,
-        final_amplitudes=state.amps.copy(),
+        final_amplitudes=state.amps,
         working_qubit_purity=None,
     )
 
@@ -131,6 +138,10 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     tol) right after the oracle; the query register distribution is then
     read off the final state.
     """
+    if t.n + 1 > MAX_QUBITS:
+        raise ValueError(
+            f"original mode needs n+1 qubits and supports n <= {MAX_QUBITS - 1}, got n={t.n}"
+        )
     _check_promise(t)
     n = t.n
     state = basis_state(n + 1, 0)
@@ -143,7 +154,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     _apply_xor_oracle(state, t)
     purity = entanglement_diagnostics(state).purities[work - 1]
     if abs(purity - 1.0) > tol:
-        raise RuntimeError(
+        raise SelfCheckError(
             f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"
         )
     for q in range(1, n + 1):
@@ -160,7 +171,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
         final_probabilities=marginal,
         queries_used=1,
         mode=Mode.ORIGINAL,
-        final_amplitudes=state.amps.copy(),
+        final_amplitudes=state.amps,
         working_qubit_purity=purity,
     )
 

@@ -1,10 +1,11 @@
 """Compile Boolean functions into phase-oracle circuits.
 
-Every ANF monomial maps to one diagonal gate: a singleton {j} becomes a
-phase flip on qubit j, a pair {j, k} a controlled-phase between j and k,
-and larger monomials a multi-controlled Z.  The constant-1 term only
-contributes a global factor of -1, which a phase oracle cannot expose, so
-it is dropped and recorded in the synthesis report.
+Every ANF monomial maps to one diagonal gate, a `PhaseGate` on the
+monomial's qubits: a singleton {j} is a phase flip on qubit j, a pair
+{j, k} a controlled phase, and larger monomials a multi-controlled Z.
+The constant-1 term only contributes a global factor of -1, which a
+phase oracle cannot expose, so it is dropped and recorded in the
+synthesis report.
 
 Circuits round-trip through a line-oriented text format:
 
@@ -17,7 +18,9 @@ One gate per line, `#` starts a comment, qubit indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .boolfn import Anf, FunctionClass, TruthTable, classify, moebius_transform
@@ -27,76 +30,68 @@ class CircuitParseError(ValueError):
     """Malformed circuit text."""
 
 
-@dataclass(frozen=True)
-class PhaseFlip:
-    """Z on one qubit: flips the sign of amplitudes where the qubit is 1."""
+@dataclass(frozen=True, init=False)
+class PhaseGate:
+    """Z on the AND of a qubit set: flips the sign where every listed qubit is 1.
 
-    qubit: int
+    One qubit is a phase flip (`z`), two a controlled phase (`cz`), three
+    or more a multi-controlled Z (`ccz`, `cccz`, ...).  Qubits are stored
+    sorted, and every gate is built as the subclass named for its arity,
+    so `PhaseGate((2, 1)) == ControlledPhase(1, 2)`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.qubit < 1:
-            raise ValueError(f"qubit index must be >= 1, got {self.qubit}")
+    qubits: tuple[int, ...]
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
-
-    @property
-    def mnemonic(self) -> str:
-        return "z"
-
-
-@dataclass(frozen=True)
-class ControlledPhase:
-    """CZ between two qubits; symmetric, stored with the smaller index first."""
-
-    j: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.j < 1 or self.k < 1:
-            raise ValueError(f"qubit indices must be >= 1, got ({self.j}, {self.k})")
-        if self.j == self.k:
-            raise ValueError(f"controlled phase needs two distinct qubits, got {self.j} twice")
-        if self.j > self.k:
-            j, k = self.k, self.j
-            object.__setattr__(self, "j", j)
-            object.__setattr__(self, "k", k)
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.j, self.k)
-
-    @property
-    def mnemonic(self) -> str:
-        return "cz"
-
-
-@dataclass(frozen=True)
-class MultiControlledZ:
-    """Z controlled on all listed qubits being 1; needs three or more."""
-
-    controls: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.controls))
-        if len(ordered) < 3:
-            raise ValueError(
-                f"multi-controlled Z needs at least 3 qubits, got {len(ordered)}"
-            )
+    def __new__(cls, qubits: Iterable[int]) -> PhaseGate:
+        ordered = tuple(sorted(qubits))
+        if not ordered or ordered[0] < 1:
+            raise ValueError(f"a phase gate needs one or more qubits, all >= 1; got {ordered}")
         if len(set(ordered)) != len(ordered):
-            raise ValueError(f"duplicate qubit in {self.controls}")
-        if ordered[0] < 1:
-            raise ValueError(f"qubit indices must be >= 1, got {ordered[0]}")
-        object.__setattr__(self, "controls", ordered)
+            raise ValueError(f"duplicate qubit in {ordered}")
+        gate = _phase_gate(ordered)
+        if cls is not PhaseGate and type(gate) is not cls:
+            raise ValueError(f"{cls.__name__} cannot act on {len(ordered)} qubits")
+        return gate
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls
+    def __reduce__(self):
+        # Pickle and copy rebuild through the one constructor that takes a tuple.
+        return (PhaseGate, (self.qubits,))
 
     @property
     def mnemonic(self) -> str:
-        return "c" * (len(self.controls) - 1) + "z"
+        return "c" * (len(self.qubits) - 1) + "z"
+
+
+class PhaseFlip(PhaseGate):
+    """Z on one qubit."""
+
+    def __new__(cls, qubit: int) -> PhaseFlip:
+        return super().__new__(cls, (qubit,))
+
+
+class ControlledPhase(PhaseGate):
+    """CZ between two distinct qubits; symmetric."""
+
+    def __new__(cls, j: int, k: int) -> ControlledPhase:
+        return super().__new__(cls, (j, k))
+
+
+class MultiControlledZ(PhaseGate):
+    """Z controlled on three or more qubits all being 1."""
+
+    @property
+    def controls(self) -> tuple[int, ...]:
+        return self.qubits
+
+
+_KIND_BY_ARITY = {1: PhaseFlip, 2: ControlledPhase, 3: MultiControlledZ}
+
+
+def _phase_gate(ordered: tuple[int, ...]) -> PhaseGate:
+    # Build without checks: `ordered` must be sorted, distinct and >= 1.
+    gate = object.__new__(_KIND_BY_ARITY[min(len(ordered), 3)])
+    object.__setattr__(gate, "qubits", ordered)
+    return gate
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ class Hadamard:
         return "h"
 
 
-GateOp = PhaseFlip | ControlledPhase | MultiControlledZ | Hadamard
+GateOp = PhaseGate | Hadamard
 
 
 @dataclass(frozen=True)
@@ -173,46 +168,35 @@ class SynthesisReport:
     construction_type: ConstructionType | None
     dropped_global_sign: bool
 
+    def as_dict(self) -> dict:
+        """The fields shared by `synth --format json` and census rows."""
+        return {
+            "truth_table": self.truth_table.text,
+            "anf": self.anf.render(),
+            "circuit": emit_text(self.circuit),
+            "type": int(self.construction_type) if self.construction_type is not None else None,
+            "gate_counts": self.counts.as_dict(),
+        }
+
 
 def synthesize(a: Anf) -> Circuit:
     """Monomial-by-monomial translation into diagonal gates.
 
     Gate order: phase flips by qubit, then controlled phases by index
     pair, then multi-controlled Z gates by control tuple.  The constant-1
-    monomial is skipped (global sign only).
+    monomial is skipped (global sign only).  `Anf` has already checked
+    every monomial's qubits, so the gates are built without a second check.
     """
-    flips = []
-    cps = []
-    mczs = []
-    for mono in a.monomials:
-        if not mono:
-            continue
-        if len(mono) == 1:
-            (j,) = mono
-            flips.append(PhaseFlip(j))
-        elif len(mono) == 2:
-            j, k = sorted(mono)
-            cps.append(ControlledPhase(j, k))
-        else:
-            mczs.append(MultiControlledZ(tuple(mono)))
-    flips.sort(key=lambda g: g.qubit)
-    cps.sort(key=lambda g: (g.j, g.k))
-    mczs.sort(key=lambda g: g.controls)
-    return Circuit(a.n, tuple(flips) + tuple(cps) + tuple(mczs))
+    keyed = sorted((min(len(mono), 3), tuple(sorted(mono))) for mono in a.monomials if mono)
+    return Circuit(a.n, tuple(_phase_gate(qubits) for _, qubits in keyed))
 
 
 def gate_counts(c: Circuit) -> GateCounts:
-    z = cz = mcz = h = 0
-    for g in c.gates:
-        if isinstance(g, PhaseFlip):
-            z += 1
-        elif isinstance(g, ControlledPhase):
-            cz += 1
-        elif isinstance(g, MultiControlledZ):
-            mcz += 1
-        else:
-            h += 1
-    return GateCounts(z, cz, mcz, h)
+    # A phase gate's class is fixed by its arity, so counting classes
+    # counts arities.
+    by_kind = Counter(map(type, c.gates))
+    z, cz, mcz = (by_kind[_KIND_BY_ARITY[arity]] for arity in (1, 2, 3))
+    return GateCounts(z, cz, mcz, by_kind[Hadamard])
 
 
 def classify_construction(c: Circuit) -> ConstructionType:
@@ -290,29 +274,16 @@ def parse_text(text: str) -> Circuit:
         indices = _parse_indices(parts[1:], lineno)
         if any(q < 1 or q > n for q in indices):
             raise CircuitParseError(f"line {lineno}: qubit index outside 1..{n}")
+        if keyword == "h":
+            arity = 1
+        elif keyword.lstrip("c") == "z":
+            arity = len(keyword)
+        else:
+            raise CircuitParseError(f"line {lineno}: unknown gate {keyword!r}")
+        if len(indices) != arity:
+            raise CircuitParseError(f"line {lineno}: '{keyword}' takes {arity} qubit(s)")
         try:
-            if keyword == "z":
-                if len(indices) != 1:
-                    raise CircuitParseError(f"line {lineno}: 'z' takes one qubit")
-                gates.append(PhaseFlip(indices[0]))
-            elif keyword == "h":
-                if len(indices) != 1:
-                    raise CircuitParseError(f"line {lineno}: 'h' takes one qubit")
-                gates.append(Hadamard(indices[0]))
-            elif keyword == "cz":
-                if len(indices) != 2:
-                    raise CircuitParseError(f"line {lineno}: 'cz' takes two qubits")
-                gates.append(ControlledPhase(indices[0], indices[1]))
-            elif set(keyword) == {"c", "z"} and keyword.endswith("z") and keyword.count("z") == 1:
-                if len(indices) != keyword.count("c") + 1:
-                    raise CircuitParseError(
-                        f"line {lineno}: '{keyword}' takes {keyword.count('c') + 1} qubits"
-                    )
-                gates.append(MultiControlledZ(tuple(indices)))
-            else:
-                raise CircuitParseError(f"line {lineno}: unknown gate {keyword!r}")
-        except CircuitParseError:
-            raise
+            gates.append(Hadamard(indices[0]) if keyword == "h" else PhaseGate(indices))
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     if n is None:

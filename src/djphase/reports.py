@@ -8,11 +8,13 @@ rows also carry the construction-type tally.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .boolfn import TruthTable, canonical, enumerate_balanced
-from .oracle_compiler import SynthesisReport, emit_text, synthesis_report
+from .oracle_compiler import SynthesisReport, synthesis_report
 from .dj_runner import entanglement_profile, zero_amplitude_formula
+from .simulator import EntanglementProfile
 
 
 @dataclass(frozen=True)
@@ -22,13 +24,8 @@ class EnumerationRow:
     fully_product: bool
 
     def as_dict(self) -> dict:
-        r = self.report
         return {
-            "truth_table": r.truth_table.text,
-            "anf": r.anf.render(),
-            "circuit": emit_text(r.circuit),
-            "type": int(r.construction_type) if r.construction_type is not None else None,
-            "gate_counts": r.counts.as_dict(),
+            **self.report.as_dict(),
             "zero_amplitude": self.zero_amplitude,
             "fully_product": self.fully_product,
         }
@@ -68,29 +65,30 @@ def canonical_balanced(n: int) -> list[TruthTable]:
     return reps
 
 
+def _census(n: int) -> Iterator[tuple[TruthTable, SynthesisReport, EntanglementProfile]]:
+    """The one walk over canonical classes that both reports view."""
+    for t in canonical_balanced(n):
+        yield t, synthesis_report(t), entanglement_profile(t)
+
+
 def enumeration_report(n: int) -> EnumerationReport:
     total = len(enumerate_balanced(n))
-    reps = canonical_balanced(n)
-    rows = []
-    type_counts: dict[int, int] | None = {1: 0, 2: 0, 3: 0, 4: 0} if n == 3 else None
-    for t in reps:
-        report = synthesis_report(t)
-        profile = entanglement_profile(t)
-        rows.append(
-            EnumerationRow(
-                report=report,
-                zero_amplitude=zero_amplitude_formula(t),
-                fully_product=profile.fully_product,
-            )
-        )
-        if type_counts is not None and report.construction_type is not None:
-            type_counts[int(report.construction_type)] += 1
+    rows = tuple(
+        EnumerationRow(report, zero_amplitude_formula(t), profile.fully_product)
+        for t, report, profile in _census(n)
+    )
+    type_counts: dict[int, int] | None = None
+    if n == 3:
+        type_counts = {1: 0, 2: 0, 3: 0, 4: 0}
+        for row in rows:
+            if row.report.construction_type is not None:
+                type_counts[int(row.report.construction_type)] += 1
     return EnumerationReport(
         n=n,
         total_balanced=total,
-        classes=len(reps),
+        classes=len(rows),
         type_counts=type_counts,
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
@@ -130,28 +128,22 @@ class EntanglementSurvey:
 
 def entanglement_survey(n: int) -> EntanglementSurvey:
     """Post-oracle entanglement across canonical balanced classes."""
-    reps = canonical_balanced(n)
-    rows = []
-    product = 0
-    for t in reps:
-        report = synthesis_report(t)
-        profile = entanglement_profile(t)
-        if profile.fully_product:
-            product += 1
-        rows.append(
-            SurveyRow(
-                truth_table=t,
-                construction_type=(
-                    int(report.construction_type) if report.construction_type is not None else None
-                ),
-                purities=profile.purities,
-                fully_product=profile.fully_product,
-            )
+    rows = tuple(
+        SurveyRow(
+            truth_table=t,
+            construction_type=(
+                int(report.construction_type) if report.construction_type is not None else None
+            ),
+            purities=profile.purities,
+            fully_product=profile.fully_product,
         )
+        for t, report, profile in _census(n)
+    )
+    product = sum(row.fully_product for row in rows)
     return EntanglementSurvey(
         n=n,
-        classes=len(reps),
+        classes=len(rows),
         product_classes=product,
-        entangled_classes=len(reps) - product,
-        rows=tuple(rows),
+        entangled_classes=len(rows) - product,
+        rows=rows,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import TruthTable
-from .oracle_compiler import Circuit, ControlledPhase, GateOp, Hadamard, MultiControlledZ, PhaseFlip
+from .oracle_compiler import Circuit, GateOp, Hadamard
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,19 +60,13 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     bad = [q for q in gate.qubits if q < 1 or q > state.n]
     if bad:
         raise ValueError(f"gate {gate.mnemonic} touches qubit {bad[0]} but state has {state.n}")
-    if isinstance(gate, PhaseFlip):
-        _axis_view(state, gate.qubits)[1] *= -1.0
-    elif isinstance(gate, ControlledPhase):
-        _axis_view(state, gate.qubits)[1, 1] *= -1.0
-    elif isinstance(gate, MultiControlledZ):
-        _axis_view(state, gate.qubits)[(1,) * len(gate.qubits)] *= -1.0
-    elif isinstance(gate, Hadamard):
-        v = _axis_view(state, gate.qubits)
+    v = _axis_view(state, gate.qubits)
+    if isinstance(gate, Hadamard):
         lo = v[0].copy()
         v[0] = (lo + v[1]) * _INV_SQRT2
         v[1] = (lo - v[1]) * _INV_SQRT2
     else:
-        raise TypeError(f"unsupported gate {gate!r}")
+        v[(1,) * len(gate.qubits)] *= -1.0
     return state
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from djphase.cli import main
+import djphase.dj_runner
 import djphase.verify
 
 
@@ -158,6 +159,38 @@ class TestRun:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("tol", ["2", "-1", "nan"])
+    def test_tol_outside_range_exit_code(self, capsys, tol):
+        # From tol = 0.5 on, the constant and balanced bands overlap.
+        code, out, err = run_cli(capsys, "run", "--truth", "01010110", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_oversized_table_rejected_before_work(self, capsys, monkeypatch):
+        def unreachable(t):
+            raise AssertionError("moebius_transform ran on an oversized table")
+
+        monkeypatch.setattr(djphase.dj_runner, "moebius_transform", unreachable)
+        code, out, err = run_cli(capsys, "run", "--truth", "0" * (1 << 21))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_self_check_failure_exit_code(self, capsys, monkeypatch):
+        from djphase.oracle_compiler import Circuit, Hadamard, synthesize as real_synthesize
+
+        def broken(anf):
+            c = real_synthesize(anf)
+            return Circuit(c.n, c.gates + (Hadamard(1),))
+
+        # f = x1; the stray Hadamard leaves 1/sqrt(2) on the all-zeros amplitude.
+        monkeypatch.setattr(djphase.dj_runner, "synthesize", broken)
+        code, out, err = run_cli(capsys, "run", "--truth", "00001111")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestEnumerate:
     def test_table_header(self, capsys):
@@ -252,6 +285,12 @@ class TestVerify:
             "formula-agreement",
         ]
         assert all(r["passed"] for r in payload)
+
+    def test_tol_outside_range_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--tol", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_corrupted_synthesis_is_caught(self, capsys, monkeypatch):
         from djphase.oracle_compiler import Circuit, PhaseFlip, synthesize as real_synthesize

@@ -89,11 +89,15 @@ class TestSynthesize:
             ),
             ("01101001", (PhaseFlip(1), PhaseFlip(2), PhaseFlip(3))),
             ("00000001", (MultiControlledZ((1, 2, 3)),)),
+            (
+                "0000111100011111",
+                (PhaseFlip(2), MultiControlledZ((1, 2, 3, 4)), MultiControlledZ((1, 3, 4))),
+            ),
         ],
     )
     def test_known_circuits(self, text, gates):
         t = parse_truth_table(text)
-        assert synthesize(moebius_transform(t)) == Circuit(3, gates)
+        assert synthesize(moebius_transform(t)) == Circuit(t.n, gates)
 
     def test_gate_order_is_flips_then_cz_then_mcz(self):
         a = Anf(

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
+import djphase.dj_runner
 from djphase import (
     FunctionClass,
     Mode,
     PromiseViolationError,
+    TruthTable,
     Verdict,
     all_truth_tables,
     classical_decide,
@@ -58,6 +60,14 @@ class TestRunRefined:
         for t in enumerate_balanced(3):
             assert run_refined(t).verdict == Verdict.BALANCED
 
+    def test_size_limit_checked_before_transform(self, monkeypatch):
+        def unreachable(t):
+            raise AssertionError("moebius_transform ran on an oversized table")
+
+        monkeypatch.setattr(djphase.dj_runner, "moebius_transform", unreachable)
+        with pytest.raises(ValueError, match="n <= 20"):
+            run_refined(TruthTable(21, (0,) * (1 << 21)))
+
 
 class TestRunOriginal:
     def test_agrees_with_refined_on_probabilities(self):
@@ -79,6 +89,11 @@ class TestRunOriginal:
         assert out.working_qubit_purity == pytest.approx(1.0, abs=1e-9)
         assert out.final_amplitudes.size == 16
         assert out.final_probabilities.size == 8
+
+    def test_size_limit_names_its_own_bound(self):
+        # The working qubit makes n+1 qubits, one fewer query qubit than refined mode.
+        with pytest.raises(ValueError, match="n <= 19"):
+            run_original(TruthTable(20, (0,) * (1 << 20)))
 
     def test_rejects_promise_violation(self):
         with pytest.raises(PromiseViolationError):
