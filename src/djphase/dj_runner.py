@@ -6,9 +6,10 @@ telling constant-0 from constant-1), magnitude 0 means balanced.
 
 * refined: n qubits, the oracle is a diagonal phase circuit synthesized
   from the function's ANF.
-* original: n query qubits plus a working qubit (qubit n+1, the least
-  significant bit) prepared in |->; the oracle XORs f into the working
-  qubit, which stays unentangled throughout.
+* original: H^(n+1), then the oracle, then H^(n+1) on |0...0>|1>, where
+  qubit n+1 (the least significant bit) is the working qubit.  The oracle
+  XORs f into it; it stays unentangled and ends in |1>, so the query
+  amplitudes are the odd entries of the final state.
 
 A classical baseline queries fixed inputs until the promise forces a
 verdict.
@@ -16,20 +17,18 @@ verdict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .boolfn import FunctionClass, TruthTable, classify, moebius_transform
-from .oracle_compiler import Hadamard, PhaseFlip, synthesize
+from .oracle_compiler import synthesize
 from .simulator import (
     MAX_QUBITS,
     EntanglementProfile,
     StateVector,
     apply_circuit,
-    apply_gate,
     apply_hadamard_all,
     apply_phase_oracle,
     basis_state,
@@ -132,7 +131,7 @@ def _apply_xor_oracle(state: StateVector, t: TruthTable) -> StateVector:
 
 
 def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
-    """One query with a working qubit in |->, phase kickback style.
+    """One query with a working qubit: H^(n+1) . XOR oracle . H^(n+1) on |0...0>|1>.
 
     The working qubit is checked to remain unentangled (purity 1 within
     tol) right after the oracle; the query register distribution is then
@@ -143,27 +142,17 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
             f"original mode needs n+1 qubits and supports n <= {MAX_QUBITS - 1}, got n={t.n}"
         )
     _check_promise(t)
-    n = t.n
-    state = basis_state(n + 1, 0)
-    work = n + 1
-    # Prepare |-> on the working qubit, |+>^n on the query register.
-    apply_gate(state, Hadamard(work))
-    apply_gate(state, PhaseFlip(work))
-    for q in range(1, n + 1):
-        apply_gate(state, Hadamard(q))
+    state = apply_hadamard_all(basis_state(t.n + 1, 1))
     _apply_xor_oracle(state, t)
-    purity = entanglement_diagnostics(state).purities[work - 1]
+    purity = entanglement_diagnostics(state).purities[t.n]
     if abs(purity - 1.0) > tol:
         raise SelfCheckError(
             f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"
         )
-    for q in range(1, n + 1):
-        apply_gate(state, Hadamard(q))
-    # Query-register amplitudes relative to the working |->: project the
-    # pair (even, odd) onto (|0> - |1>)/sqrt(2).
-    pairs = state.amps.reshape(-1, 2)
-    query_amps = (pairs[:, 0] - pairs[:, 1]) / math.sqrt(2.0)
-    zero = float(query_amps[0].real)
+    apply_hadamard_all(state)
+    # The working qubit is back in |1>, so the query-register amplitudes
+    # are the odd entries.
+    zero = float(state.amps[1].real)
     marginal = probabilities(state).reshape(-1, 2).sum(axis=1)
     return DjOutcome(
         verdict=_decide(zero, tol),

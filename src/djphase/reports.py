@@ -8,13 +8,11 @@ rows also carry the construction-type tally.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .boolfn import TruthTable, canonical, enumerate_balanced
+from .boolfn import TruthTable, enumerate_balanced
 from .oracle_compiler import SynthesisReport, synthesis_report
 from .dj_runner import entanglement_profile, zero_amplitude_formula
-from .simulator import EntanglementProfile
 
 
 @dataclass(frozen=True)
@@ -54,38 +52,27 @@ class EnumerationReport:
 
 
 def canonical_balanced(n: int) -> list[TruthTable]:
-    """Canonical representatives of balanced complement pairs, ascending."""
-    seen = set()
-    reps = []
-    for t in enumerate_balanced(n):
-        rep = canonical(t)
-        if rep.values not in seen:
-            seen.add(rep.values)
-            reps.append(rep)
-    return reps
-
-
-def _census(n: int) -> Iterator[tuple[TruthTable, SynthesisReport, EntanglementProfile]]:
-    """The one walk over canonical classes that both reports view."""
-    for t in canonical_balanced(n):
-        yield t, synthesis_report(t), entanglement_profile(t)
+    """Canonical representatives (f(0) = 0) of balanced complement pairs, ascending."""
+    return [t for t in enumerate_balanced(n) if t.values[0] == 0]
 
 
 def enumeration_report(n: int) -> EnumerationReport:
-    total = len(enumerate_balanced(n))
+    balanced = enumerate_balanced(n)
     rows = tuple(
-        EnumerationRow(report, zero_amplitude_formula(t), profile.fully_product)
-        for t, report, profile in _census(n)
+        EnumerationRow(
+            synthesis_report(t), zero_amplitude_formula(t), entanglement_profile(t).fully_product
+        )
+        for t in balanced
+        if t.values[0] == 0
     )
     type_counts: dict[int, int] | None = None
     if n == 3:
         type_counts = {1: 0, 2: 0, 3: 0, 4: 0}
         for row in rows:
-            if row.report.construction_type is not None:
-                type_counts[int(row.report.construction_type)] += 1
+            type_counts[int(row.report.construction_type)] += 1
     return EnumerationReport(
         n=n,
-        total_balanced=total,
+        total_balanced=len(balanced),
         classes=len(rows),
         type_counts=type_counts,
         rows=rows,
@@ -128,22 +115,23 @@ class EntanglementSurvey:
 
 def entanglement_survey(n: int) -> EntanglementSurvey:
     """Post-oracle entanglement across canonical balanced classes."""
-    rows = tuple(
-        SurveyRow(
-            truth_table=t,
-            construction_type=(
-                int(report.construction_type) if report.construction_type is not None else None
-            ),
-            purities=profile.purities,
-            fully_product=profile.fully_product,
+    # Construction types exist only for n = 3, where every class has one.
+    rows = []
+    for t in canonical_balanced(n):
+        profile = entanglement_profile(t)
+        rows.append(
+            SurveyRow(
+                truth_table=t,
+                construction_type=int(synthesis_report(t).construction_type) if n == 3 else None,
+                purities=profile.purities,
+                fully_product=profile.fully_product,
+            )
         )
-        for t, report, profile in _census(n)
-    )
     product = sum(row.fully_product for row in rows)
     return EntanglementSurvey(
         n=n,
         classes=len(rows),
         product_classes=product,
         entangled_classes=len(rows) - product,
-        rows=rows,
+        rows=tuple(rows),
     )

@@ -31,9 +31,6 @@ class StateVector:
     n: int
     amps: np.ndarray
 
-    def copy(self) -> StateVector:
-        return StateVector(self.n, self.amps.copy())
-
 
 def basis_state(n: int, index: int = 0) -> StateVector:
     """|index> on n qubits; n is capped at 20 to bound memory."""

@@ -90,6 +90,14 @@ class TestRunOriginal:
         assert out.final_amplitudes.size == 16
         assert out.final_probabilities.size == 8
 
+    def test_working_qubit_ends_in_one(self):
+        # H^(n+1) . oracle . H^(n+1) on |0...0>|1> leaves the working qubit
+        # exactly in |1>, so every even entry is an exact zero.
+        promise = [*enumerate_balanced(3), TruthTable(3, (0,) * 8), TruthTable(3, (1,) * 8)]
+        assert len(promise) == 72
+        for t in promise:
+            assert np.all(run_original(t).final_amplitudes[0::2] == 0), t.text
+
     def test_size_limit_names_its_own_bound(self):
         # The working qubit makes n+1 qubits, one fewer query qubit than refined mode.
         with pytest.raises(ValueError, match="n <= 19"):
