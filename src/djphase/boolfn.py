@@ -173,6 +173,11 @@ def canonical(t: TruthTable) -> TruthTable:
     return t if t.values[0] == 0 else complement(t)
 
 
+def _table(n: int, value: int) -> TruthTable:
+    # Entry 0 is the most significant of the 2^n bits of value.
+    return TruthTable(n, tuple([(value >> s) & 1 for s in range((1 << n) - 1, -1, -1)]))
+
+
 def enumerate_balanced(n: int) -> list[TruthTable]:
     """All truth tables of weight 2^(n-1), ascending by bit-sequence value.
 
@@ -181,18 +186,11 @@ def enumerate_balanced(n: int) -> list[TruthTable]:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"balanced enumeration supports 2 <= n <= 4, got {n}")
-    size = 1 << n
-    half = size >> 1
-    tables = []
-    for value in range(1 << size):
-        if value.bit_count() == half:
-            bits = tuple((value >> (size - 1 - i)) & 1 for i in range(size))
-            tables.append(TruthTable(n, bits))
-    return tables
+    half = 1 << (n - 1)
+    return [_table(n, value) for value in range(1 << (1 << n)) if value.bit_count() == half]
 
 
 def all_truth_tables(n: int):
     """Yield every truth table on n inputs, ascending by bit-sequence value."""
-    size = 1 << n
-    for value in range(1 << size):
-        yield TruthTable(n, tuple((value >> (size - 1 - i)) & 1 for i in range(size)))
+    for value in range(1 << (1 << n)):
+        yield _table(n, value)

@@ -144,7 +144,10 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     _check_promise(t)
     state = apply_hadamard_all(basis_state(t.n + 1, 1))
     _apply_xor_oracle(state, t)
-    purity = entanglement_diagnostics(state).purities[t.n]
+    # Purity of the working qubit alone: rows of the (2^n, 2) view are x.
+    pair = state.amps.reshape(-1, 2)
+    rho = pair.T @ pair.conj()
+    purity = float(np.trace(rho @ rho).real)
     if abs(purity - 1.0) > tol:
         raise SelfCheckError(
             f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"

@@ -304,6 +304,40 @@ class TestVerify:
         assert code == 4
         assert "[FAIL] oracle-equivalence" in out
 
+    def test_failing_suite_counts_its_cases(self, capsys, monkeypatch):
+        from djphase.oracle_compiler import Circuit, PhaseFlip, synthesize as real_synthesize
+
+        def broken(anf):
+            c = real_synthesize(anf)
+            return Circuit(c.n, c.gates + (PhaseFlip(1),))
+
+        monkeypatch.setattr(djphase.verify, "synthesize", broken)
+        first = "256 failed; first: table 00000000"
+        _, out, _ = run_cli(capsys, "verify")
+        assert f"[FAIL] oracle-equivalence: {first}" in out
+        _, out, _ = run_cli(capsys, "verify", "--json")
+        assert json.loads(out)[0]["detail"].startswith(first)
+
+    def test_broken_runner_oracle_is_reported_not_aborted(self, capsys, monkeypatch):
+        from djphase.oracle_compiler import Circuit, PhaseGate, synthesize as real_synthesize
+
+        def broken(anf):
+            c = real_synthesize(anf)
+            return Circuit(c.n, c.gates + (PhaseGate((1, 2)),))
+
+        # The stray cz breaks refined runs' self-check; the other suites still run.
+        monkeypatch.setattr(djphase.dj_runner, "synthesize", broken)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 4
+        for line in (
+            "[PASS] oracle-equivalence",
+            "[PASS] census",
+            "[FAIL] refined-original-agreement",
+            "[FAIL] formula-agreement",
+            "2/4 suites passed",
+        ):
+            assert line in out
+
 
 class TestArgHandling:
     def test_no_subcommand(self, capsys):

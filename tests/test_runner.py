@@ -98,6 +98,18 @@ class TestRunOriginal:
         for t in promise:
             assert np.all(run_original(t).final_amplitudes[0::2] == 0), t.text
 
+    def test_purity_reads_only_the_working_qubit(self, monkeypatch):
+        def unreachable(state):
+            raise AssertionError("run_original ran the all-qubit diagnostics")
+
+        monkeypatch.setattr(djphase.dj_runner, "entanglement_diagnostics", unreachable)
+        promise = [*enumerate_balanced(3), TruthTable(3, (0,) * 8), TruthTable(3, (1,) * 8)]
+        for t in promise:
+            out = run_original(t)
+            # The final H layer is local, so it leaves the working qubit's purity as it was.
+            want = oracles.reduced_purity(out.final_amplitudes, 4, 4)
+            assert out.working_qubit_purity == pytest.approx(want, abs=1e-12), t.text
+
     def test_size_limit_names_its_own_bound(self):
         # The working qubit makes n+1 qubits, one fewer query qubit than refined mode.
         with pytest.raises(ValueError, match="n <= 19"):
