@@ -33,7 +33,7 @@ class TruthTable:
             raise TruthTableError(
                 f"expected {1 << self.n} entries for n={self.n}, got {len(self.values)}"
             )
-        if any(v not in (0, 1) for v in self.values):
+        if not set(self.values) <= {0, 1}:
             raise TruthTableError("truth-table entries must be 0 or 1")
 
     @classmethod

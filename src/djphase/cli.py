@@ -9,8 +9,9 @@ Subcommands:
 * verify: run the built-in verification suites.
 
 Exit codes: 0 success; 2 bad input, including a --tol outside
-0 <= tol < 0.5 and a table too large for the run mode; 3 promise
-violation; 4 a failed `verify` suite or a failed self-check inside `run`.
+0 <= tol < 0.5 and a table too large for the run mode or for `synth`
+(n > 20); 3 promise violation; 4 a failed `verify` suite or a failed
+self-check inside `run`.
 JSON output is byte-identical across runs for the same inputs.
 """
 
@@ -30,7 +31,7 @@ from .dj_runner import (
     run_original,
     run_refined,
 )
-from .simulator import sample_counts
+from .simulator import MAX_QUBITS, sample_counts
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -130,6 +131,9 @@ def _synth_payload(t: TruthTable) -> dict:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     tables = _load_tables(args)
+    for t in tables:
+        if t.n > MAX_QUBITS:
+            raise ValueError(f"synth supports n <= {MAX_QUBITS}, got n={t.n}")
     single = args.truth is not None
     if args.format == "json":
         payloads = [_synth_payload(t) for t in tables]

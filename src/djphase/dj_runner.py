@@ -34,6 +34,7 @@ from .simulator import (
     basis_state,
     entanglement_diagnostics,
     probabilities,
+    qubit_purity,
 )
 
 VERDICT_TOL = 1e-9
@@ -144,10 +145,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     _check_promise(t)
     state = apply_hadamard_all(basis_state(t.n + 1, 1))
     _apply_xor_oracle(state, t)
-    # Purity of the working qubit alone: rows of the (2^n, 2) view are x.
-    pair = state.amps.reshape(-1, 2)
-    rho = pair.T @ pair.conj()
-    purity = float(np.trace(rho @ rho).real)
+    purity = qubit_purity(state, t.n + 1)
     if abs(purity - 1.0) > tol:
         raise SelfCheckError(
             f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"

@@ -1,9 +1,11 @@
 """Dense statevector simulation for diagonal-plus-Hadamard circuits.
 
 Amplitudes live in a flat complex array of length 2^n, basis states
-indexed big-endian (qubit 1 is the most significant bit).  Gates mutate
-the array in place through reshaped views, so no gate matrices are ever
-materialized.
+indexed big-endian (qubit 1 is the most significant bit).  Qubits map to
+array axes through one view and no axis permutation: qubit q is the
+middle axis of amps.reshape(2^(q-1), 2, -1), behind both the Hadamard
+butterfly and every one-qubit purity; phase gates index the (2,) * n
+reshape.  Gates mutate the array in place, never as matrices.
 """
 
 from __future__ import annotations
@@ -44,12 +46,8 @@ def basis_state(n: int, index: int = 0) -> StateVector:
     return StateVector(n, amps)
 
 
-def _axis_view(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    # Reshape to one axis per qubit and bring the listed qubits to the
-    # front; qubit q maps to axis q-1 because indexing is big-endian.
-    t = state.amps.reshape((2,) * state.n)
-    axes = tuple(q - 1 for q in qubits)
-    return np.moveaxis(t, axes, tuple(range(len(axes))))
+def _qubit_view(state: StateVector, q: int) -> np.ndarray:
+    return state.amps.reshape(1 << (q - 1), 2, -1)
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -57,13 +55,15 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     bad = [q for q in gate.qubits if q < 1 or q > state.n]
     if bad:
         raise ValueError(f"gate {gate.mnemonic} touches qubit {bad[0]} but state has {state.n}")
-    v = _axis_view(state, gate.qubits)
     if isinstance(gate, Hadamard):
-        lo = v[0].copy()
-        v[0] = (lo + v[1]) * _INV_SQRT2
-        v[1] = (lo - v[1]) * _INV_SQRT2
+        v = _qubit_view(state, gate.qubits[0])
+        lo = v[:, 0].copy()
+        v[:, 0] = (lo + v[:, 1]) * _INV_SQRT2
+        v[:, 1] = (lo - v[:, 1]) * _INV_SQRT2
     else:
-        v[(1,) * len(gate.qubits)] *= -1.0
+        # On all n qubits the index reads a scalar copy: write through it.
+        index = tuple(1 if q in gate.qubits else slice(None) for q in range(1, state.n + 1))
+        state.amps.reshape((2,) * state.n)[index] *= -1.0
     return state
 
 
@@ -132,6 +132,20 @@ class EntanglementProfile:
     fully_product: bool
 
 
+def _qubit_rows(state: StateVector, q: int) -> np.ndarray:
+    return _qubit_view(state, q).swapaxes(0, 1).reshape(2, -1)
+
+
+def _purity(m: np.ndarray) -> float:
+    rho = m @ m.conj().T
+    return float(np.trace(rho @ rho).real)
+
+
+def qubit_purity(state: StateVector, q: int) -> float:
+    """Tr(rho^2) of qubit q alone: rho = M M^dagger, M has qubit q on its 2 rows."""
+    return _purity(_qubit_rows(state, q))
+
+
 def entanglement_diagnostics(state: StateVector) -> EntanglementProfile:
     """Single-qubit reduced purities and cut Schmidt ranks.
 
@@ -147,9 +161,8 @@ def entanglement_diagnostics(state: StateVector) -> EntanglementProfile:
     purities = []
     ranks = []
     for q in range(1, state.n + 1):
-        m = _axis_view(state, (q,)).reshape(2, -1)
-        rho = m @ m.conj().T
-        purities.append(float(np.trace(rho @ rho).real))
+        m = _qubit_rows(state, q)
+        purities.append(_purity(m))
         singular = np.linalg.svd(m, compute_uv=False)
         ranks.append(int(np.sum(singular > SCHMIDT_CUTOFF)))
     fully_product = all(p >= 1.0 - PURITY_TOL for p in purities)

@@ -67,6 +67,24 @@ class TestSynth:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("source", ["--truth", "--truth-file"])
+    def test_oversized_table_rejected_before_work(self, capsys, monkeypatch, tmp_path, source):
+        def unreachable(t):
+            raise AssertionError("synthesis_report ran before every table was size-checked")
+
+        monkeypatch.setattr("djphase.cli.synthesis_report", unreachable)
+        oversized = "0" * (1 << 21)
+        if source == "--truth":
+            arg = oversized
+        else:
+            # The small table comes first: it must not be synthesized either.
+            arg = tmp_path / "tables.txt"
+            arg.write_text(f"01010110\n{oversized}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "synth", source, str(arg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n <= 20" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "synth", "--truth-file", "/nonexistent/x.txt")
         assert code == 2

@@ -14,6 +14,7 @@ from djphase import (
     Hadamard,
     MultiControlledZ,
     PhaseFlip,
+    PhaseGate,
     StateVector,
     TruthTable,
     amplitude,
@@ -27,6 +28,7 @@ from djphase import (
     moebius_transform,
     parse_truth_table,
     probabilities,
+    qubit_purity,
     sample,
     sample_counts,
     synthesize,
@@ -84,6 +86,16 @@ class TestApplyGate:
         before = np.linalg.norm(state.amps)
         apply_gate(state, gate)
         assert abs(np.linalg.norm(state.amps) - before) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_qubit_and_all_qubits_match_reference(self, n):
+        # Hadamard on each end and middle of the view, and a phase gate whose
+        # index is all integers.
+        for gate in [Hadamard(q) for q in range(1, n + 1)] + [PhaseGate(range(1, n + 1))]:
+            state = random_state(n, seed=100 + n)
+            expected = oracles.gate_matrix(n, gate) @ state.amps.copy()
+            apply_gate(state, gate)
+            assert np.allclose(state.amps, expected, atol=1e-12), gate
 
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
@@ -193,6 +205,16 @@ class TestEntanglementDiagnostics:
             assert prof.purities[q - 1] == pytest.approx(
                 oracles.reduced_purity(state.amps, q, 3), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_qubit_purity(self, n):
+        state = random_state(n, seed=200 + n)
+        prof = entanglement_diagnostics(state)
+        for q in range(1, n + 1):
+            assert prof.purities[q - 1] == pytest.approx(
+                oracles.reduced_purity(state.amps, q, n), abs=1e-12
+            )
+            assert qubit_purity(state, q) == prof.purities[q - 1]
 
     def test_norm_guard(self):
         state = basis_state(2, 0)
