@@ -5,7 +5,8 @@ indexed big-endian (qubit 1 is the most significant bit).  Qubits map to
 array axes through one view and no axis permutation: qubit q is the
 middle axis of amps.reshape(2^(q-1), 2, -1), behind both the Hadamard
 butterfly and every one-qubit purity; phase gates index the (2,) * n
-reshape.  Gates mutate the array in place, never as matrices.
+reshape.  Gates mutate the array in place, never as matrices; the
+equivalence check runs once on a real 2n-qubit identity state.
 """
 
 from __future__ import annotations
@@ -179,9 +180,10 @@ class DiagonalEquivalence:
 def equivalent_diagonal(c: Circuit, t: TruthTable, tol: float = 1e-9) -> DiagonalEquivalence:
     """Check that circuit c equals the phase oracle of t up to global sign.
 
-    Runs c on every computational basis state and compares the resulting
-    diagonal with (-1)^f(x), trying both signs.  Restricted to n <= 12 so
-    the 2^n sweep stays cheap.
+    Runs c once on the flattened 2^n x 2^n identity as a 2n-qubit state
+    (qubits 1..n the row, n+1..2n the column), which leaves the matrix U
+    of c, and compares its diagonal with (-1)^f(x), trying both signs.
+    Restricted to n <= 12, where U takes 128 MiB.
     """
     if c.n != t.n:
         raise ValueError(f"circuit on {c.n} qubits, truth table on {t.n}")
@@ -190,13 +192,11 @@ def equivalent_diagonal(c: Circuit, t: TruthTable, tol: float = 1e-9) -> Diagona
             f"equivalence sweep supports up to {MAX_EQUIVALENCE_QUBITS} qubits, got {c.n}"
         )
     dim = 1 << c.n
-    diag = np.empty(dim, dtype=np.complex128)
-    max_offdiag = 0.0
-    for i in range(dim):
-        out = apply_circuit(basis_state(c.n, i), c).amps
-        diag[i] = out[i]
-        out[i] = 0.0
-        max_offdiag = max(max_offdiag, float(np.max(np.abs(out))))
+    # Every GateOp (Hadamard, PhaseGate) is real, so a float64 identity holds U.
+    u = apply_circuit(StateVector(2 * c.n, np.eye(dim).reshape(-1)), c).amps.reshape(dim, dim)
+    diag = u.diagonal().copy()
+    np.fill_diagonal(u, 0.0)
+    max_offdiag = float(np.abs(u, out=u).max())
     target = 1.0 - 2.0 * np.asarray(t.values, dtype=np.float64)
     best_sign, best_dev = 1, math.inf
     for sign in (1, -1):

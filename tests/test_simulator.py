@@ -246,3 +246,42 @@ class TestEquivalentDiagonal:
             equivalent_diagonal(Circuit(2, ()), parse_truth_table("01010110"))
         with pytest.raises(ValueError):
             equivalent_diagonal(Circuit(13, ()), TruthTable(13, (0,) * (1 << 13)))
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(11)
+
+        def random_gate(n):
+            if rng.random() < 0.3:
+                return Hadamard(rng.randint(1, n))
+            return PhaseGate(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))))
+
+        seen = set()
+        for n in range(1, 6):
+            for _ in range(8):
+                t = TruthTable(n, tuple(rng.randint(0, 1) for _ in range(1 << n)))
+                oracle = list(synthesize(moebius_transform(t)).gates)
+                mixed = [random_gate(n) for _ in range(rng.randint(1, 10))]
+                for gates in (oracle, oracle + [random_gate(n)], mixed):
+                    u = oracles.circuit_matrix(n, gates)
+                    target = np.array([(-1.0) ** v for v in t.values])
+                    dev = {s: np.max(np.abs(np.diag(u) - s * target)) for s in (1, -1)}
+                    sign = -1 if dev[-1] < dev[1] else 1
+                    expected = max(dev[sign], np.max(np.abs(u - np.diag(np.diag(u)))))
+                    eq = equivalent_diagonal(Circuit(n, tuple(gates)), t)
+                    assert eq.max_deviation == pytest.approx(expected, abs=1e-12)
+                    assert eq.match == (expected <= 1e-9)
+                    assert eq.global_sign == (sign if eq.match else 1)
+                    seen.add((eq.match, eq.global_sign, any(g.mnemonic == "h" for g in gates)))
+        assert {(True, 1, False), (True, -1, False), (False, 1, True), (False, 1, False)} <= seen
+
+    def test_largest_size(self):
+        monomials = [(), (1,), (2, 3), (10, 11, 12)]
+        values = tuple(oracles.eval_monomials(monomials, x, 12) for x in range(1 << 12))
+        t = TruthTable(12, values)
+        c = synthesize(moebius_transform(t))
+        eq = equivalent_diagonal(c, t)
+        assert eq.match
+        assert eq.global_sign == -1
+        eq = equivalent_diagonal(Circuit(12, c.gates + (PhaseFlip(12),)), t)
+        assert not eq.match
+        assert eq.max_deviation == 2.0
