@@ -1,18 +1,21 @@
 """Boolean functions as truth tables and algebraic normal forms.
 
-A function f: {0,1}^n -> {0,1} is stored as a flat sequence of 2^n bits,
-indexed big-endian: entry i is f(b1 b2 ... bn) where b1, the most
-significant bit of i, is the value assigned to qubit 1.  The same function
-can be written uniquely as an XOR of monomials (its algebraic normal
-form); each monomial is a subset of {1, ..., n}, with the empty subset
-standing for the constant-1 term.  The two representations are linked by
-the binary Moebius transform, which is its own inverse.
+A function f: {0,1}^n -> {0,1} is stored once, as 2^n bytes of value 0 or
+1 that every layer reads in place, indexed big-endian: byte i is
+f(b1 b2 ... bn), where b1, the most significant bit of i, is qubit 1's value.
+The same function can be written uniquely as an XOR of monomials (its
+algebraic normal form); each monomial is a subset of {1, ..., n}, with the
+empty subset standing for the constant-1 term.  The two representations are
+linked by the binary Moebius transform, which is its own inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+_DIGITS = bytes.maketrans(b"01" + b"\0\1", b"\0\1" + b"01")  # "0"/"1" <-> 0/1, both ways
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class TruthTableError(ValueError):
@@ -21,24 +24,26 @@ class TruthTableError(ValueError):
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Boolean function on n inputs as a 2^n-entry bit sequence."""
+    """Boolean function on n inputs: byte i of `bits` is entry i, 0 or 1."""
 
     n: int
-    values: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise TruthTableError(f"qubit count must be at least 1, got {self.n}")
-        if len(self.values) != 1 << self.n:
+        if len(self.bits) != 1 << self.n:
             raise TruthTableError(
-                f"expected {1 << self.n} entries for n={self.n}, got {len(self.values)}"
+                f"expected {1 << self.n} entries for n={self.n}, got {len(self.bits)}"
             )
-        if not set(self.values) <= {0, 1}:
+        if not set(self.bits) <= {0, 1}:
             raise TruthTableError("truth-table entries must be 0 or 1")
+        if type(self.bits) is not bytes:
+            object.__setattr__(self, "bits", bytes(map(int, self.bits)))
 
     @classmethod
     def from_values(cls, values) -> TruthTable:
-        bits = tuple(int(v) for v in values)
+        bits = values if type(values) is bytes else tuple(values)
         n = max(len(bits).bit_length() - 1, 0)
         if len(bits) < 2 or len(bits) != 1 << n:
             raise TruthTableError(
@@ -47,12 +52,16 @@ class TruthTable:
         return cls(n, bits)
 
     @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.bits)
+
+    @property
     def weight(self) -> int:
-        return sum(self.values)
+        return self.bits.count(1)
 
     @property
     def text(self) -> str:
-        return "".join(str(v) for v in self.values)
+        return self.bits.translate(_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,9 @@ class FunctionClass(Enum):
 
 def parse_truth_table(text: str) -> TruthTable:
     """Parse a bare bit-string (index 0 leftmost) into a TruthTable."""
-    if any(ch not in "01" for ch in text):
+    if text.strip("01"):
         raise TruthTableError(f"truth table may contain only '0'/'1': {text!r}")
-    return TruthTable.from_values(int(ch) for ch in text)
+    return TruthTable.from_values(text.encode().translate(_DIGITS))
 
 
 def classify(t: TruthTable) -> FunctionClass:
@@ -117,17 +126,14 @@ def classify(t: TruthTable) -> FunctionClass:
     return FunctionClass.OTHER
 
 
-def _butterfly(bits: list[int]) -> list[int]:
-    # XOR the lower half into the upper half along each bit axis; this is
-    # the binary Moebius transform, self-inverse over GF(2).
-    size = len(bits)
-    step = 1
-    while step < size:
-        for base in range(0, size, step << 1):
-            for i in range(base, base + step):
-                bits[i + step] ^= bits[i]
-        step <<= 1
-    return bits
+def _butterfly(bits: bytes, n: int) -> bytes:
+    # XOR the lower half into the upper half along each bit axis, with byte i
+    # at bits 8i..8i+7 of one int: the binary Moebius transform, self-inverse.
+    x = int.from_bytes(bits, "little")
+    for step in (1 << k for k in range(n)):
+        lower = int.from_bytes((b"\1" * step + bytes(step)) * (len(bits) // (2 * step)), "little")
+        x ^= (x & lower) << (8 * step)
+    return x.to_bytes(len(bits), "little")
 
 
 def _index_to_monomial(index: int, n: int) -> frozenset[int]:
@@ -143,7 +149,7 @@ def _monomial_to_index(mono: frozenset[int], n: int) -> int:
 
 def moebius_transform(t: TruthTable) -> Anf:
     """Truth table to ANF via the in-place butterfly over each bit axis."""
-    coeffs = _butterfly(list(t.values))
+    coeffs = _butterfly(t.bits, t.n)
     monos = frozenset(
         _index_to_monomial(i, t.n) for i, c in enumerate(coeffs) if c
     )
@@ -152,10 +158,10 @@ def moebius_transform(t: TruthTable) -> Anf:
 
 def anf_to_truth_table(a: Anf) -> TruthTable:
     """Exact inverse of moebius_transform (the butterfly is an involution)."""
-    coeffs = [0] * (1 << a.n)
+    coeffs = bytearray(1 << a.n)
     for mono in a.monomials:
         coeffs[_monomial_to_index(mono, a.n)] = 1
-    return TruthTable(a.n, tuple(_butterfly(coeffs)))
+    return TruthTable(a.n, _butterfly(coeffs, a.n))
 
 
 def degree(a: Anf) -> int:
@@ -165,17 +171,17 @@ def degree(a: Anf) -> int:
 
 def complement(t: TruthTable) -> TruthTable:
     """Pointwise 1 XOR f."""
-    return TruthTable(t.n, tuple(1 - v for v in t.values))
+    return TruthTable(t.n, t.bits.translate(_FLIP))
 
 
 def canonical(t: TruthTable) -> TruthTable:
     """The member of the complement pair {f, 1+f} with f(index 0) = 0."""
-    return t if t.values[0] == 0 else complement(t)
+    return t if t.bits[0] == 0 else complement(t)
 
 
 def _table(n: int, value: int) -> TruthTable:
     # Entry 0 is the most significant of the 2^n bits of value.
-    return TruthTable(n, tuple([(value >> s) & 1 for s in range((1 << n) - 1, -1, -1)]))
+    return TruthTable(n, format(value, f"0{1 << n}b").encode().translate(_DIGITS))
 
 
 def enumerate_balanced(n: int) -> list[TruthTable]:

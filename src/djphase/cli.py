@@ -9,7 +9,7 @@ Subcommands:
 * verify: run the built-in verification suites.
 
 Exit codes: 0 success; 2 bad input, including a --tol outside
-0 <= tol < 0.5 and a table too large for the run mode or for `synth`
+1e-12 <= tol < 0.5 and a table too large for the run mode or for `synth`
 (n > 20); 3 promise violation; 4 a failed `verify` suite or a failed
 self-check inside `run`.
 JSON output is byte-identical across runs for the same inputs.
@@ -118,10 +118,10 @@ def _inline_circuit(circuit_text: str) -> str:
 
 
 def _check_tol(tol: float) -> None:
-    # The constant band |a| >= 1 - tol and the balanced band |a| <= tol
-    # overlap from tol = 0.5 on; the chained test also rejects nan.
-    if not 0.0 <= tol < 0.5:
-        raise ValueError(f"--tol must satisfy 0 <= tol < 0.5, got {tol!r}")
+    # The bands |a| >= 1 - tol and |a| <= tol overlap from 0.5 on; below 1e-12,
+    # rounding alone (3e-15 at n=20) fails exact runs.  The chained test rejects nan.
+    if not 1e-12 <= tol < 0.5:
+        raise ValueError(f"--tol must satisfy 1e-12 <= tol < 0.5, got {tol!r}")
 
 
 def _synth_payload(t: TruthTable) -> dict:

@@ -126,7 +126,7 @@ def _apply_xor_oracle(state: StateVector, t: TruthTable) -> StateVector:
     # where f is 1.  The working qubit is the last axis, so rows of the
     # (2^n, 2) view are indexed by x directly.
     view = state.amps.reshape(-1, 2)
-    mask = np.asarray(t.values, dtype=bool)
+    mask = np.frombuffer(t.bits, dtype=bool)
     view[mask] = view[mask][:, ::-1]
     return state
 
@@ -180,10 +180,9 @@ def classical_decide(t: TruthTable) -> ClassicalOutcome:
     """
     _check_promise(t)
     limit = (1 << (t.n - 1)) + 1
-    first = t.values[0]
-    for i in range(1, limit):
-        if t.values[i] != first:
-            return ClassicalOutcome(Verdict.BALANCED, i + 1)
+    i = t.bits.find(1 - t.bits[0], 1, limit)
+    if i != -1:
+        return ClassicalOutcome(Verdict.BALANCED, i + 1)
     return ClassicalOutcome(Verdict.CONSTANT, limit)
 
 

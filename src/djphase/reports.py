@@ -53,7 +53,7 @@ class EnumerationReport:
 
 def canonical_balanced(n: int) -> list[TruthTable]:
     """Canonical representatives (f(0) = 0) of balanced complement pairs, ascending."""
-    return [t for t in enumerate_balanced(n) if t.values[0] == 0]
+    return [t for t in enumerate_balanced(n) if t.bits[0] == 0]
 
 
 def enumeration_report(n: int) -> EnumerationReport:
@@ -63,7 +63,7 @@ def enumeration_report(n: int) -> EnumerationReport:
             synthesis_report(t), zero_amplitude_formula(t), entanglement_profile(t).fully_product
         )
         for t in balanced
-        if t.values[0] == 0
+        if t.bits[0] == 0
     )
     type_counts: dict[int, int] | None = None
     if n == 3:

@@ -86,8 +86,7 @@ def apply_phase_oracle(state: StateVector, t: TruthTable) -> StateVector:
     """Multiply each amplitude by (-1)^f(x) straight from the truth table."""
     if t.n != state.n:
         raise ValueError(f"truth table on {t.n} qubits, state on {state.n}")
-    signs = 1.0 - 2.0 * np.asarray(t.values, dtype=np.float64)
-    state.amps *= signs
+    state.amps *= 1.0 - 2.0 * np.frombuffer(t.bits, dtype=np.uint8)
     return state
 
 
@@ -197,7 +196,7 @@ def equivalent_diagonal(c: Circuit, t: TruthTable, tol: float = 1e-9) -> Diagona
     diag = u.diagonal().copy()
     np.fill_diagonal(u, 0.0)
     max_offdiag = float(np.abs(u, out=u).max())
-    target = 1.0 - 2.0 * np.asarray(t.values, dtype=np.float64)
+    target = 1.0 - 2.0 * np.frombuffer(t.bits, dtype=np.uint8)
     best_sign, best_dev = 1, math.inf
     for sign in (1, -1):
         dev = float(np.max(np.abs(diag - sign * target)))

@@ -33,7 +33,9 @@ class TestTruthTable:
         assert t.text == "01010110"
         assert t.weight == 4
 
-    @pytest.mark.parametrize("bad", ["", "0", "010", "0101x110", "00102011"])
+    @pytest.mark.parametrize(
+        "bad", ["", "0", "010", "0101x110", "00102011", "0\uff1101", "0\udcff"]
+    )
     def test_rejects_malformed_strings(self, bad):
         with pytest.raises(TruthTableError):
             parse_truth_table(bad)
@@ -47,6 +49,53 @@ class TestTruthTable:
             TruthTable(1, (0, 2))
         with pytest.raises(TruthTableError):
             TruthTable(0, ())
+
+
+class TestEncoding:
+    def test_every_construction_route_gives_one_table(self):
+        entries = (0, 1, 1, 0, 1, 0, 0, 1)
+        routes = [
+            parse_truth_table("01101001"),
+            TruthTable(3, entries),
+            TruthTable.from_values(list(entries)),
+            TruthTable.from_values(v for v in entries),
+            TruthTable.from_values(bytes(entries)),
+            TruthTable.from_values(bytearray(entries)),
+            list(all_truth_tables(3))[0b01101001],
+        ]
+        for t in routes:
+            assert type(t.bits) is bytes
+            assert t == routes[0]
+            assert hash(t) == hash(routes[0])
+            assert t.values == entries
+
+    def test_values_is_a_tuple_of_ints(self):
+        for n in (1, 2, 3):
+            for t in all_truth_tables(n):
+                assert t.values == tuple(int(ch) for ch in t.text)
+                assert all(type(v) is int for v in t.values)
+
+    def test_bool_and_float_entries_accepted(self):
+        assert TruthTable(2, (0, True, 1.0, False)) == parse_truth_table("0110")
+        assert TruthTable.from_values([0.0, True]) == parse_truth_table("01")
+
+    @pytest.mark.parametrize("bad", [2, -1, 1.5, 256])
+    def test_rejects_entries_other_than_0_and_1(self, bad):
+        with pytest.raises(TruthTableError):
+            TruthTable(1, (0, bad))
+        with pytest.raises(TruthTableError):
+            TruthTable.from_values([0, bad])
+
+    def test_bytes_entries_other_than_0_and_1_rejected(self):
+        with pytest.raises(TruthTableError):
+            TruthTable(1, b"01")
+
+    def test_bytearray_is_copied(self):
+        entries = bytearray([0, 1])
+        t = TruthTable(1, entries)
+        entries[0] = 1
+        assert t.text == "01"
+        assert t == parse_truth_table("01")
 
 
 class TestClassify:
@@ -108,6 +157,15 @@ class TestMoebius:
             t = TruthTable(4, tuple(rng.randrange(2) for _ in range(16)))
             a = moebius_transform(t)
             assert a.monomials == oracles.moebius_bruteforce(t.values, 4)
+            assert anf_to_truth_table(a) == t
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_randomized_beyond_n4(self, n):
+        rng = random.Random(20261018 + n)
+        for _ in range(4):
+            t = TruthTable.from_values(rng.randrange(2) for _ in range(1 << n))
+            a = moebius_transform(t)
+            assert a.monomials == oracles.moebius_bruteforce(t.values, n)
             assert anf_to_truth_table(a) == t
 
     def test_rejects_out_of_range_monomial(self):

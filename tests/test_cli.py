@@ -185,6 +185,24 @@ class TestRun:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["run --truth 00000000", "verify"])
+    @pytest.mark.parametrize("tol", ["0", "1e-16"])
+    def test_tol_below_rounding_floor_exit_code(self, capsys, command, tol):
+        # Exact runs end up to 3e-15 from their bands (n=20), so tol has a floor.
+        code, out, err = run_cli(capsys, *command.split(), "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "1e-12 <= tol < 0.5" in err
+
+    @pytest.mark.parametrize("mode", ["refined", "original"])
+    def test_tol_at_rounding_floor_decides_constant(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "run", "--truth", "00000000", "--mode", mode, "--tol", "1e-12"
+        )
+        assert code == 0
+        assert "verdict: constant" in out
+        assert err == ""
+
     def test_oversized_table_rejected_before_work(self, capsys, monkeypatch):
         def unreachable(t):
             raise AssertionError("moebius_transform ran on an oversized table")

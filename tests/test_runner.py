@@ -60,6 +60,13 @@ class TestRunRefined:
         for t in enumerate_balanced(3):
             assert run_refined(t).verdict == Verdict.BALANCED
 
+    def test_largest_constant_table_at_tol_floor(self):
+        # Rounding leaves |zero amplitude| about 3e-15 short of 1 at n=20,
+        # inside the CLI's smallest allowed tol.
+        out = run_refined(TruthTable(20, bytes(1 << 20)), tol=1e-12)
+        assert out.verdict == Verdict.CONSTANT
+        assert 1.0 - 1e-12 <= out.zero_amplitude <= 1.0
+
     def test_size_limit_checked_before_transform(self, monkeypatch):
         def unreachable(t):
             raise AssertionError("moebius_transform ran on an oversized table")
