@@ -3,16 +3,18 @@
 A function f: {0,1}^n -> {0,1} is stored once, as 2^n bytes of value 0 or
 1 that every layer reads in place, indexed big-endian: byte i is
 f(b1 b2 ... bn), where b1, the most significant bit of i, is qubit 1's value.
-The same function can be written uniquely as an XOR of monomials (its
-algebraic normal form); each monomial is a subset of {1, ..., n}, with the
-empty subset standing for the constant-1 term.  The two representations are
-linked by the binary Moebius transform, which is its own inverse.
+Its algebraic normal form, the unique XOR of monomials equal to f, is stored
+the same way: coefficient byte i is 1 when the monomial on the qubits whose
+bits are set in i is present (bit n-j is qubit j; byte 0 is the constant-1
+term).  The binary Moebius transform, its own inverse, links the two buffers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 _DIGITS = bytes.maketrans(b"01" + b"\0\1", b"\0\1" + b"01")  # "0"/"1" <-> 0/1, both ways
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -36,9 +38,10 @@ class TruthTable:
             raise TruthTableError(
                 f"expected {1 << self.n} entries for n={self.n}, got {len(self.bits)}"
             )
-        if not set(self.bits) <= {0, 1}:
+        is_bytes = type(self.bits) is bytes  # bytes: one C scan; else set(), where True and 1.0 pass
+        if self.bits.translate(None, b"\0\1") if is_bytes else not set(self.bits) <= {0, 1}:
             raise TruthTableError("truth-table entries must be 0 or 1")
-        if type(self.bits) is not bytes:
+        if not is_bytes:
             object.__setattr__(self, "bits", bytes(map(int, self.bits)))
 
     @classmethod
@@ -64,40 +67,56 @@ class TruthTable:
         return self.bits.translate(_DIGITS).decode()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Anf:
-    """Algebraic normal form: an XOR of monomials over x1 ... xn.
+    """Algebraic normal form, stored only as its `coeffs` buffer.
 
-    Each monomial is a frozenset of qubit indices; the empty frozenset is
-    the constant-1 term.  An empty monomial set is the zero function.
+    `Anf(n, monomials)` takes iterables of qubits (empty: the constant 1);
+    the `monomials` frozenset view is rebuilt from `coeffs` on each read.
     """
 
     n: int
-    monomials: frozenset[frozenset[int]]
+    coeffs: bytes
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"qubit count must be at least 1, got {self.n}")
-        for mono in self.monomials:
-            if any(j < 1 or j > self.n for j in mono):
-                raise ValueError(f"monomial {sorted(mono)} outside qubits 1..{self.n}")
+    def __init__(self, n: int, monomials: Iterable[Iterable[int]]) -> None:
+        if n < 1:
+            raise ValueError(f"qubit count must be at least 1, got {n}")
+        coeffs = bytearray(1 << n)
+        for mono in map(frozenset, monomials):
+            if any(j not in range(1, n + 1) for j in mono):
+                raise ValueError(f"monomial {sorted(mono)} outside qubits 1..{n}")
+            coeffs[sum(1 << (n - j) for j in mono)] = 1
+        _fill(self, n, bytes(coeffs))
+
+    def terms(self) -> Iterator[tuple[int, ...]]:
+        """Monomials as ascending qubit tuples, in index order: bit n-j is qubit j."""
+        bits = [(j, 1 << (self.n - j)) for j in range(1, self.n + 1)]
+        for i in compress(range(len(self.coeffs)), self.coeffs):
+            yield tuple(j for j, bit in bits if i & bit)
+
+    @property
+    def monomials(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(frozenset, self.terms()))
 
     @property
     def has_constant_term(self) -> bool:
-        return frozenset() in self.monomials
+        return self.coeffs[0] == 1
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """Monomials as sorted tuples, ordered by degree then qubit indices."""
-        return sorted((tuple(sorted(m)) for m in self.monomials), key=lambda m: (len(m), m))
+        return sorted(self.terms(), key=lambda m: (len(m), m))
 
     def render(self) -> str:
         """Human-readable polynomial, e.g. ``x3 + x1*x2``; ``0`` when empty."""
-        if not self.monomials:
-            return "0"
-        terms = []
-        for mono in self.sorted_monomials():
-            terms.append("1" if not mono else "*".join(f"x{j}" for j in mono))
-        return " + ".join(terms)
+        terms = ["*".join(f"x{j}" for j in mono) or "1" for mono in self.sorted_monomials()]
+        return " + ".join(terms) or "0"
+
+
+def _fill(a: Anf, n: int, coeffs: bytes) -> Anf:
+    # Set the fields without checks: `coeffs` must be 2^n bytes of 0 or 1.
+    object.__setattr__(a, "n", n)
+    object.__setattr__(a, "coeffs", coeffs)
+    return a
 
 
 class FunctionClass(Enum):
@@ -136,37 +155,19 @@ def _butterfly(bits: bytes, n: int) -> bytes:
     return x.to_bytes(len(bits), "little")
 
 
-def _index_to_monomial(index: int, n: int) -> frozenset[int]:
-    return frozenset(j for j in range(1, n + 1) if (index >> (n - j)) & 1)
-
-
-def _monomial_to_index(mono: frozenset[int], n: int) -> int:
-    index = 0
-    for j in mono:
-        index |= 1 << (n - j)
-    return index
-
-
 def moebius_transform(t: TruthTable) -> Anf:
-    """Truth table to ANF via the in-place butterfly over each bit axis."""
-    coeffs = _butterfly(t.bits, t.n)
-    monos = frozenset(
-        _index_to_monomial(i, t.n) for i, c in enumerate(coeffs) if c
-    )
-    return Anf(t.n, monos)
+    """Truth table to ANF via the butterfly over each bit axis."""
+    return _fill(object.__new__(Anf), t.n, _butterfly(t.bits, t.n))
 
 
 def anf_to_truth_table(a: Anf) -> TruthTable:
     """Exact inverse of moebius_transform (the butterfly is an involution)."""
-    coeffs = bytearray(1 << a.n)
-    for mono in a.monomials:
-        coeffs[_monomial_to_index(mono, a.n)] = 1
-    return TruthTable(a.n, _butterfly(coeffs, a.n))
+    return TruthTable(a.n, _butterfly(a.coeffs, a.n))
 
 
 def degree(a: Anf) -> int:
     """Size of the largest monomial; 0 for the zero and constant functions."""
-    return max((len(m) for m in a.monomials), default=0)
+    return max(map(len, a.terms()), default=0)
 
 
 def complement(t: TruthTable) -> TruthTable:

@@ -27,6 +27,7 @@ from .reports import entanglement_survey, enumeration_report
 from .dj_runner import (
     PromiseViolationError,
     SelfCheckError,
+    check_tol,
     classical_decide,
     run_original,
     run_refined,
@@ -117,13 +118,6 @@ def _inline_circuit(circuit_text: str) -> str:
     return "; ".join(circuit_text.strip().splitlines())
 
 
-def _check_tol(tol: float) -> None:
-    # The bands |a| >= 1 - tol and |a| <= tol overlap from 0.5 on; below 1e-12,
-    # rounding alone (3e-15 at n=20) fails exact runs.  The chained test rejects nan.
-    if not 1e-12 <= tol < 0.5:
-        raise ValueError(f"--tol must satisfy 1e-12 <= tol < 0.5, got {tol!r}")
-
-
 def _synth_payload(t: TruthTable) -> dict:
     r = synthesis_report(t)
     return {**r.as_dict(), "dropped_global_sign": r.dropped_global_sign}
@@ -195,7 +189,7 @@ def _render_run_text(payload: dict) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
+    check_tol(args.tol)
     tables = _load_tables(args)
     single = args.truth is not None
     payloads = [_run_payload(t, args) for t in tables]
@@ -257,7 +251,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
+    check_tol(args.tol)
     results = run_verification(tol=args.tol)
     if args.json:
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

@@ -75,6 +75,13 @@ class ClassicalOutcome:
     queries_used: int
 
 
+def check_tol(tol: float) -> None:
+    # The one tol range for every run: the bands |a| >= 1 - tol and |a| <= tol overlap
+    # from 0.5 on, and below 1e-12 rounding alone (3e-15 at n=20) fails exact runs.
+    if not 1e-12 <= tol < 0.5:
+        raise ValueError(f"tol must satisfy 1e-12 <= tol < 0.5, got {tol!r}")
+
+
 def _check_promise(t: TruthTable) -> FunctionClass:
     kind = classify(t)
     if kind == FunctionClass.OTHER:
@@ -96,6 +103,7 @@ def _decide(zero: float, tol: float) -> Verdict:
 
 def run_refined(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     """One oracle query on n qubits using the synthesized phase circuit."""
+    check_tol(tol)
     if t.n > MAX_QUBITS:
         raise ValueError(f"refined mode supports n <= {MAX_QUBITS}, got n={t.n}")
     _check_promise(t)
@@ -138,6 +146,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     tol) right after the oracle; the query register distribution is then
     read off the final state.
     """
+    check_tol(tol)
     if t.n + 1 > MAX_QUBITS:
         raise ValueError(
             f"original mode needs n+1 qubits and supports n <= {MAX_QUBITS - 1}, got n={t.n}"

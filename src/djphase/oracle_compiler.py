@@ -184,10 +184,10 @@ def synthesize(a: Anf) -> Circuit:
 
     Gate order: phase flips by qubit, then controlled phases by index
     pair, then multi-controlled Z gates by control tuple.  The constant-1
-    monomial is skipped (global sign only).  `Anf` has already checked
-    every monomial's qubits, so the gates are built without a second check.
+    monomial is skipped (global sign only).  Every coefficient index names
+    qubits in 1..n, so the gates are built without a second check.
     """
-    keyed = sorted((min(len(mono), 3), tuple(sorted(mono))) for mono in a.monomials if mono)
+    keyed = sorted((min(len(mono), 3), mono) for mono in a.terms() if mono)
     return Circuit(a.n, tuple(_phase_gate(qubits) for _, qubits in keyed))
 
 

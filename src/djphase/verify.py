@@ -26,6 +26,7 @@ from .reports import enumeration_report
 from .dj_runner import (
     SelfCheckError,
     Verdict,
+    check_tol,
     classical_decide,
     run_original,
     run_refined,
@@ -127,4 +128,5 @@ def _check_runs(tol: float) -> list[CheckResult]:
 
 
 def run_verification(tol: float = 1e-9) -> list[CheckResult]:
+    check_tol(tol)
     return [_check_oracle_equivalence(tol), _check_census(), *_check_runs(tol)]

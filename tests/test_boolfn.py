@@ -89,6 +89,8 @@ class TestEncoding:
     def test_bytes_entries_other_than_0_and_1_rejected(self):
         with pytest.raises(TruthTableError):
             TruthTable(1, b"01")
+        with pytest.raises(TruthTableError):
+            TruthTable(1, b"\0\2")
 
     def test_bytearray_is_copied(self):
         entries = bytearray([0, 1])
@@ -171,6 +173,8 @@ class TestMoebius:
     def test_rejects_out_of_range_monomial(self):
         with pytest.raises(ValueError):
             Anf(2, frozenset({frozenset({3})}))
+        with pytest.raises(ValueError, match="outside qubits 1..2"):
+            Anf(2, [(1.5,)])
 
     @pytest.mark.parametrize(
         "text,expected",

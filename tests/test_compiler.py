@@ -93,6 +93,19 @@ class TestSynthesize:
                 "0000111100011111",
                 (PhaseFlip(2), MultiControlledZ((1, 2, 3, 4)), MultiControlledZ((1, 3, 4))),
             ),
+            (
+                # x1x2x3 + x1x2x4 + x1x2x3x4: (1, 2, 3) sorts before (1, 2, 3, 4)
+                # although its coefficient index is smaller.
+                "".join(
+                    str(oracles.eval_monomials([(1, 2, 3), (1, 2, 4), (1, 2, 3, 4)], x, 4))
+                    for x in range(16)
+                ),
+                (
+                    MultiControlledZ((1, 2, 3)),
+                    MultiControlledZ((1, 2, 3, 4)),
+                    MultiControlledZ((1, 2, 4)),
+                ),
+            ),
         ],
     )
     def test_known_circuits(self, text, gates):

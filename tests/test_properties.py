@@ -6,9 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from djphase import (
+    Anf,
     TruthTable,
     anf_to_truth_table,
+    degree,
     emit_text,
     moebius_transform,
     parse_text,
@@ -46,6 +49,20 @@ def promise_tables(draw):
 @given(tables())
 def test_moebius_round_trip(t):
     assert anf_to_truth_table(moebius_transform(t)) == t
+
+
+@PROPERTY_SETTINGS
+@given(tables())
+def test_anf_from_monomials_equals_transform(t):
+    # The two construction paths (monomials in, butterfly bytes out) give one value.
+    a = moebius_transform(t)
+    rebuilt = Anf(t.n, a.monomials)
+    assert rebuilt == a
+    assert hash(rebuilt) == hash(a)
+    if t.n <= 8:
+        reference = oracles.moebius_bruteforce(t.values, t.n)
+        assert a.monomials == reference
+        assert degree(a) == max(map(len, reference), default=0)
 
 
 @PROPERTY_SETTINGS

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import djphase.dj_runner
+import djphase.verify
 from djphase import (
     FunctionClass,
     Mode,
@@ -21,6 +22,7 @@ from djphase import (
     parse_truth_table,
     run_original,
     run_refined,
+    run_verification,
     zero_amplitude_formula,
 )
 
@@ -74,6 +76,37 @@ class TestRunRefined:
         monkeypatch.setattr(djphase.dj_runner, "moebius_transform", unreachable)
         with pytest.raises(ValueError, match="n <= 20"):
             run_refined(TruthTable(21, (0,) * (1 << 21)))
+
+
+class TestTolRange:
+    # The library applies the command line's range: 1e-12 <= tol < 0.5.
+    @pytest.mark.parametrize("runner", [run_refined, run_original])
+    @pytest.mark.parametrize("tol", [0, 1e-13, 0.5, float("nan")])
+    def test_runner_rejects_tol(self, runner, tol):
+        with pytest.raises(ValueError, match=r"1e-12 <= tol < 0\.5"):
+            runner(parse_truth_table("00000000"), tol=tol)
+
+    @pytest.mark.parametrize("runner", [run_refined, run_original])
+    def test_tol_checked_before_size_and_promise(self, runner):
+        for t in (TruthTable(21, bytes(1 << 21)), parse_truth_table("01010111")):
+            with pytest.raises(ValueError, match=r"1e-12 <= tol < 0\.5"):
+                runner(t, tol=0)
+
+    @pytest.mark.parametrize("tol", [0, 0.5])
+    def test_verification_rejects_tol(self, monkeypatch, tol):
+        def unreachable(t):
+            raise AssertionError("a suite ran before the tol check")
+
+        monkeypatch.setattr(djphase.verify, "moebius_transform", unreachable)
+        monkeypatch.setattr(djphase.verify, "run_refined", unreachable)
+        with pytest.raises(ValueError, match=r"1e-12 <= tol < 0\.5"):
+            run_verification(tol=tol)
+
+    def test_floor_and_default_accepted(self):
+        t = parse_truth_table("00000000")
+        for tol in (1e-12, 1e-9, 0.49):
+            assert run_refined(t, tol=tol).verdict == Verdict.CONSTANT
+            assert run_original(t, tol=tol).verdict == Verdict.CONSTANT
 
 
 class TestRunOriginal:
