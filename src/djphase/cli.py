@@ -160,7 +160,7 @@ def _run_payload(t: TruthTable, args: argparse.Namespace) -> dict:
         "verdict": out.verdict.value,
         "zero_amplitude": out.zero_amplitude,
         "queries_used": out.queries_used,
-        "probabilities": [float(p) for p in out.final_probabilities],
+        "probabilities": out.final_probabilities.tolist(),
     }
     if out.working_qubit_purity is not None:
         payload["working_qubit_purity"] = out.working_qubit_purity

@@ -5,8 +5,11 @@ indexed big-endian (qubit 1 is the most significant bit).  Qubits map to
 array axes through one view and no axis permutation: qubit q is the
 middle axis of amps.reshape(2^(q-1), 2, -1), behind both the Hadamard
 butterfly and every one-qubit purity; phase gates index the (2,) * n
-reshape.  Gates mutate the array in place, never as matrices; the
-equivalence check runs once on a real 2n-qubit identity state.
+reshape in apply_gate.  apply_circuit runs each block of consecutive
+phase gates as one diagonal multiply, built from the gates' qubit masks
+by numpy code of its own.  The array is mutated in place, never through
+matrices; the equivalence check runs once on a real 2n-qubit identity
+state.
 """
 
 from __future__ import annotations
@@ -68,11 +71,40 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
+def _apply_phase_block(state: StateVector, n: int, masks: list[int]) -> None:
+    # Gate masks -> count of each mask mod 2 -> at each index, the XOR of the
+    # masks it contains (one pass per axis): the block's diagonal is
+    # (-1)^parity on qubits 1..n, the most significant bits of the state.
+    if not masks:
+        return
+    parity = np.bincount(masks, minlength=1 << n) & 1
+    for q in range(1, n + 1):
+        v = parity.reshape(1 << (q - 1), 2, -1)
+        v[:, 1] ^= v[:, 0]
+    state.amps.reshape(1 << n, -1)[...] *= (1.0 - 2.0 * parity)[:, None]
+
+
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Apply circuit's gates in order, each block of phase gates as one diagonal.
+
+    Hadamards go through apply_gate and end a block.  A phase gate is the
+    bit mask of its qubits; a block multiplies each amplitude once by -1
+    raised to the number of its gates whose mask the index contains, so
+    the result equals applying the gates one by one.  The mask transform
+    shares no code with boolfn's Moebius butterfly, so a run checks the
+    synthesized circuit instead of undoing a wrong ANF.
+    """
     if circuit.n > state.n:
         raise ValueError(f"circuit needs {circuit.n} qubits, state has {state.n}")
+    masks: list[int] = []
     for gate in circuit.gates:
-        apply_gate(state, gate)
+        if isinstance(gate, Hadamard):
+            _apply_phase_block(state, circuit.n, masks)
+            masks = []
+            apply_gate(state, gate)
+        else:
+            masks.append(sum(1 << (circuit.n - q) for q in gate.qubits))
+    _apply_phase_block(state, circuit.n, masks)
     return state
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from djphase.cli import main
+import djphase.boolfn
 import djphase.dj_runner
 import djphase.verify
 
@@ -373,6 +374,27 @@ class TestVerify:
             "2/4 suites passed",
         ):
             assert line in out
+
+    def test_wrong_butterfly_fails_every_suite_not_the_input(self, capsys, monkeypatch):
+        # An identity butterfly gives some n=3 circuits a ccz, which the census's
+        # construction typing rejects with ValueError: an internal defect, not
+        # malformed input, so it is a failed census case and all suites report.
+        monkeypatch.setattr(djphase.boolfn, "_butterfly", lambda bits, n: bits)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 4
+        assert err == ""
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:4]] == [
+            "[FAIL] oracle-equivalence",
+            "[FAIL] census",
+            "[FAIL] refined-original-agreement",
+            "[FAIL] formula-agreement",
+        ]
+        assert lines[1] == (
+            "[FAIL] census: 1 failed; first: enumeration_report(3) raised: "
+            "construction types cover z/cz circuits only"
+        )
+        assert lines[4] == "0/4 suites passed"
 
 
 class TestArgHandling:

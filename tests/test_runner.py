@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+import djphase.boolfn
 import djphase.dj_runner
 import djphase.verify
 from djphase import (
     FunctionClass,
     Mode,
     PromiseViolationError,
+    SelfCheckError,
     TruthTable,
     Verdict,
     all_truth_tables,
@@ -76,6 +78,25 @@ class TestRunRefined:
         monkeypatch.setattr(djphase.dj_runner, "moebius_transform", unreachable)
         with pytest.raises(ValueError, match="n <= 20"):
             run_refined(TruthTable(21, (0,) * (1 << 21)))
+
+    def test_wrong_butterfly_cannot_check_itself(self, monkeypatch):
+        # With an identity butterfly the circuit's gates are the table's 1s, not
+        # its ANF.  The simulator shares no code with the butterfly, so each run
+        # whose true ANF, read as a table, is neither constant nor balanced fails
+        # its self-check; a simulator that undid the butterfly would pass them all.
+        monkeypatch.setattr(djphase.boolfn, "_butterfly", lambda bits, n: bits)
+        failed, expected = set(), set()
+        for t in all_truth_tables(3):
+            if classify(t) == FunctionClass.OTHER:
+                continue
+            if len(oracles.moebius_bruteforce(t.values, 3)) not in (0, 4, 8):
+                expected.add(t.text)
+            try:
+                run_refined(t)
+            except SelfCheckError:
+                failed.add(t.text)
+        assert failed == expected
+        assert len(failed) == 48
 
 
 class TestTolRange:

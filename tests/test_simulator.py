@@ -147,6 +147,60 @@ class TestApplyCircuit:
         assert np.allclose(state.amps, np.full(8, 1 / np.sqrt(8)), atol=1e-12)
 
 
+def apply_gates_one_by_one(state: StateVector, gates) -> StateVector:
+    for g in gates:
+        apply_gate(state, g)
+    return state
+
+
+class TestFusedPhaseBlocks:
+    """apply_circuit's fused phase blocks against per-gate apply_gate and dense matrices."""
+
+    @staticmethod
+    def mixed_circuits(rng: random.Random, n: int):
+        def phase_gate():
+            return PhaseGate(rng.sample(range(1, n + 1), rng.randint(1, n)))
+
+        def hadamard():
+            return Hadamard(rng.randint(1, n))
+
+        repeated = phase_gate()
+        yield []
+        yield [repeated, repeated]
+        yield [repeated, hadamard(), repeated]
+        yield [hadamard(), *(phase_gate() for _ in range(6)), repeated, repeated, hadamard()]
+        for _ in range(4):
+            gates = [hadamard() if rng.random() < 0.25 else phase_gate() for _ in range(12)]
+            yield gates + [gates[0]]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_gate_and_dense_reference(self, n):
+        rng = random.Random(300 + n)
+        for width in sorted({1, max(1, n - 2), n}):
+            for gates in self.mixed_circuits(rng, width):
+                state = random_state(n, seed=rng.randrange(1 << 30))
+                original = state.amps.copy()
+                expected = apply_gates_one_by_one(StateVector(n, original.copy()), gates)
+                apply_circuit(state, Circuit(width, tuple(gates)))
+                assert np.array_equal(state.amps, expected.amps), (width, gates)
+                if n <= 5:
+                    dense = oracles.circuit_matrix(n, gates) @ original
+                    assert np.allclose(state.amps, dense, atol=1e-12), (width, gates)
+
+    def test_dense_synthesized_circuit(self):
+        n = 14
+        rng = random.Random(14)
+        bits = [0, 1] * (1 << (n - 1))
+        rng.shuffle(bits)
+        c = synthesize(moebius_transform(TruthTable(n, bytes(bits))))
+        assert len(c.gates) > 4000
+        gates = c.gates + (Hadamard(7),) + c.gates[::2]
+        state = random_state(n, seed=14)
+        expected = apply_gates_one_by_one(StateVector(n, state.amps.copy()), gates)
+        apply_circuit(state, Circuit(n, gates))
+        assert np.array_equal(state.amps, expected.amps)
+
+
 class TestPhaseOracle:
     def test_signs_match_table(self):
         t = parse_truth_table("01010110")
