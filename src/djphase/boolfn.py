@@ -85,14 +85,12 @@ class Anf:
         for mono in map(frozenset, monomials):
             if any(j not in range(1, n + 1) for j in mono):
                 raise ValueError(f"monomial {sorted(mono)} outside qubits 1..{n}")
-            coeffs[sum(1 << (n - j) for j in mono)] = 1
+            coeffs[qubit_mask(n, mono)] = 1
         _fill(self, n, bytes(coeffs))
 
     def terms(self) -> Iterator[tuple[int, ...]]:
-        """Monomials as ascending qubit tuples, in index order: bit n-j is qubit j."""
-        bits = [(j, 1 << (self.n - j)) for j in range(1, self.n + 1)]
-        for i in compress(range(len(self.coeffs)), self.coeffs):
-            yield tuple(j for j, bit in bits if i & bit)
+        """Monomials as ascending qubit tuples, in coefficient index order."""
+        return mask_qubits(self.n, compress(range(len(self.coeffs)), self.coeffs))
 
     @property
     def monomials(self) -> frozenset[frozenset[int]]:
@@ -102,14 +100,25 @@ class Anf:
     def has_constant_term(self) -> bool:
         return self.coeffs[0] == 1
 
-    def sorted_monomials(self) -> list[tuple[int, ...]]:
-        """Monomials as sorted tuples, ordered by degree then qubit indices."""
-        return sorted(self.terms(), key=lambda m: (len(m), m))
-
     def render(self) -> str:
-        """Human-readable polynomial, e.g. ``x3 + x1*x2``; ``0`` when empty."""
-        terms = ["*".join(f"x{j}" for j in mono) or "1" for mono in self.sorted_monomials()]
-        return " + ".join(terms) or "0"
+        """Human-readable polynomial by degree, then qubits: ``x3 + x1*x2``; ``0`` when empty."""
+        monos = sorted(self.terms(), key=lambda m: (len(m), m))
+        return " + ".join("*".join(f"x{j}" for j in mono) or "1" for mono in monos) or "0"
+
+
+def qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    """The index of the monomial on `qubits`: bit n-j is set for each qubit j."""
+    return sum(1 << (n - j) for j in qubits)
+
+
+def mask_qubits(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Inverse of qubit_mask: each mask's qubits as an ascending tuple."""
+    # Each half of a mask indexes a table of its qubit tuples, built by doubling.
+    low, hi, lo = n // 2, [()], [()]
+    for j in range(n, 0, -1):
+        table = lo if j > n - low else hi
+        table += [(j, *qubits) for qubits in table]
+    return (hi[m >> low] + lo[m & ((1 << low) - 1)] for m in masks)
 
 
 def _fill(a: Anf, n: int, coeffs: bytes) -> Anf:

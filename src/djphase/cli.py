@@ -9,9 +9,10 @@ Subcommands:
 * verify: run the built-in verification suites.
 
 Exit codes: 0 success; 2 bad input, including a --tol outside
-1e-12 <= tol < 0.5 and a table too large for the run mode or for `synth`
-(n > 20); 3 promise violation; 4 a failed `verify` suite or a failed
-self-check inside `run`.
+1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS or a negative
+`--seed` (all checked before any table is read), and a table too large
+for the run mode or for `synth` (n > 20); 3 promise violation; 4 a failed
+`verify` suite or a failed self-check inside `run`.
 JSON output is byte-identical across runs for the same inputs.
 """
 
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PROMISE = 3
 EXIT_VERIFY = 4
+
+MAX_SHOTS = 10**6
 
 
 def _add_truth_args(p: argparse.ArgumentParser) -> None:
@@ -190,6 +193,10 @@ def _render_run_text(payload: dict) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     check_tol(args.tol)
+    if not 0 <= args.shots <= MAX_SHOTS:
+        raise ValueError(f"--shots must satisfy 0 <= shots <= {MAX_SHOTS}, got {args.shots}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     tables = _load_tables(args)
     single = args.truth is not None
     payloads = [_run_payload(t, args) for t in tables]

@@ -3,6 +3,7 @@
 Every ANF monomial maps to one diagonal gate, a `PhaseGate` on the
 monomial's qubits: a singleton {j} is a phase flip on qubit j, a pair
 {j, k} a controlled phase, and larger monomials a multi-controlled Z.
+A `Circuit` stores each phase gate as its monomial's index in `Anf.coeffs`.
 The constant-1 term only contributes a global factor of -1, which a
 phase oracle cannot expose, so it is dropped and recorded in the
 synthesis report.
@@ -22,8 +23,10 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress
 
-from .boolfn import Anf, FunctionClass, TruthTable, classify, moebius_transform
+from .boolfn import Anf, FunctionClass, TruthTable, classify, mask_qubits, moebius_transform
+from .boolfn import qubit_mask
 
 
 class CircuitParseError(ValueError):
@@ -48,9 +51,11 @@ class PhaseGate:
             raise ValueError(f"a phase gate needs one or more qubits, all >= 1; got {ordered}")
         if len(set(ordered)) != len(ordered):
             raise ValueError(f"duplicate qubit in {ordered}")
-        gate = _phase_gate(ordered)
-        if cls is not PhaseGate and type(gate) is not cls:
+        kind = (PhaseFlip, ControlledPhase, MultiControlledZ)[min(len(ordered), 3) - 1]
+        if cls is not PhaseGate and kind is not cls:
             raise ValueError(f"{cls.__name__} cannot act on {len(ordered)} qubits")
+        gate = object.__new__(kind)
+        object.__setattr__(gate, "qubits", ordered)
         return gate
 
     def __reduce__(self):
@@ -84,16 +89,6 @@ class MultiControlledZ(PhaseGate):
         return self.qubits
 
 
-_KIND_BY_ARITY = {1: PhaseFlip, 2: ControlledPhase, 3: MultiControlledZ}
-
-
-def _phase_gate(ordered: tuple[int, ...]) -> PhaseGate:
-    # Build without checks: `ordered` must be sorted, distinct and >= 1.
-    gate = object.__new__(_KIND_BY_ARITY[min(len(ordered), 3)])
-    object.__setattr__(gate, "qubits", ordered)
-    return gate
-
-
 @dataclass(frozen=True)
 class Hadamard:
     qubit: int
@@ -116,18 +111,28 @@ GateOp = PhaseGate | Hadamard
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on qubits 1..n: `ops` holds a phase gate as its `qubit_mask`, a Hadamard as itself."""
+
     n: int
-    gates: tuple[GateOp, ...]
+    ops: tuple[int | Hadamard, ...]  # also takes gate objects, which it converts
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"qubit count must be at least 1, got {self.n}")
-        for g in self.gates:
-            bad = [q for q in g.qubits if q > self.n]
-            if bad:
-                raise ValueError(
-                    f"gate {g.mnemonic} touches qubit {bad[0]} but circuit has {self.n}"
-                )
+        object.__setattr__(self, "ops", tuple(_stored(self.n, op) for op in self.ops))
+
+    @property
+    def gates(self) -> tuple[GateOp, ...]:
+        terms = mask_qubits(self.n, (op for op in self.ops if type(op) is int))
+        return tuple(PhaseGate(next(terms)) if type(op) is int else op for op in self.ops)
+
+
+def _stored(n: int, op: GateOp | int) -> int | Hadamard:
+    if type(op) is int and 0 < op < 1 << n:
+        return op
+    if isinstance(op, GateOp) and max(op.qubits) <= n:
+        return op if isinstance(op, Hadamard) else qubit_mask(n, op.qubits)
+    raise ValueError(f"{op!r} is neither a gate nor a mask on qubits 1..{n}")
 
 
 class ConstructionType(IntEnum):
@@ -179,24 +184,21 @@ class SynthesisReport:
         }
 
 
-def synthesize(a: Anf) -> Circuit:
-    """Monomial-by-monomial translation into diagonal gates.
+def _gate_order(m: int) -> tuple[int, int, int]:
+    # (min(arity, 3), qubit tuple) without the tuple: within an arity, tuples ascend as
+    # masks descend, and a tuple's prefix fills its low bits alike but has fewer qubits.
+    return min(m.bit_count(), 3), -(m | ((m & -m) - 1)), m.bit_count()
 
-    Gate order: phase flips by qubit, then controlled phases by index
-    pair, then multi-controlled Z gates by control tuple.  The constant-1
-    monomial is skipped (global sign only).  Every coefficient index names
-    qubits in 1..n, so the gates are built without a second check.
-    """
-    keyed = sorted((min(len(mono), 3), mono) for mono in a.terms() if mono)
-    return Circuit(a.n, tuple(_phase_gate(qubits) for _, qubits in keyed))
+
+def synthesize(a: Anf) -> Circuit:
+    """One phase gate per monomial but the constant 1: phase flips by qubit,
+    then controlled phases by index pair, then multi-controlled Zs by control tuple."""
+    return Circuit(a.n, sorted(compress(range(1, len(a.coeffs)), a.coeffs[1:]), key=_gate_order))
 
 
 def gate_counts(c: Circuit) -> GateCounts:
-    # A phase gate's class is fixed by its arity, so counting classes
-    # counts arities.
-    by_kind = Counter(map(type, c.gates))
-    z, cz, mcz = (by_kind[_KIND_BY_ARITY[arity]] for arity in (1, 2, 3))
-    return GateCounts(z, cz, mcz, by_kind[Hadamard])
+    arity = Counter(min(op.bit_count(), 3) if type(op) is int else "h" for op in c.ops)
+    return GateCounts(arity[1], arity[2], arity[3], arity["h"])
 
 
 def classify_construction(c: Circuit) -> ConstructionType:
@@ -234,9 +236,14 @@ def synthesis_report(t: TruthTable) -> SynthesisReport:
 
 def emit_text(c: Circuit) -> str:
     """Serialize to the line format; every line ends with a newline."""
+    terms = mask_qubits(c.n, (op for op in c.ops if type(op) is int))
     lines = [f"qubits {c.n}"]
-    for g in c.gates:
-        lines.append(" ".join([g.mnemonic, *(str(q) for q in g.qubits)]))
+    for op in c.ops:
+        if type(op) is int:
+            qubits = next(terms)
+            lines.append(f"{'c' * (len(qubits) - 1)}z {' '.join(map(str, qubits))}")
+        else:
+            lines.append(f"h {op.qubit}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -253,7 +260,7 @@ def _parse_indices(parts: list[str], lineno: int) -> list[int]:
 def parse_text(text: str) -> Circuit:
     """Inverse of emit_text; tolerates comments and blank lines."""
     n = None
-    gates: list[GateOp] = []
+    ops: list[int | Hadamard] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -280,12 +287,9 @@ def parse_text(text: str) -> Circuit:
             arity = len(keyword)
         else:
             raise CircuitParseError(f"line {lineno}: unknown gate {keyword!r}")
-        if len(indices) != arity:
-            raise CircuitParseError(f"line {lineno}: '{keyword}' takes {arity} qubit(s)")
-        try:
-            gates.append(Hadamard(indices[0]) if keyword == "h" else PhaseGate(indices))
-        except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
+        if len(indices) != arity or len(set(indices)) < arity:
+            raise CircuitParseError(f"line {lineno}: '{keyword}' takes {arity} distinct qubit(s)")
+        ops.append(Hadamard(indices[0]) if keyword == "h" else qubit_mask(n, indices))
     if n is None:
         raise CircuitParseError("empty circuit text: missing 'qubits <n>' header")
-    return Circuit(n, tuple(gates))
+    return Circuit(n, ops)

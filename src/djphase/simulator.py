@@ -6,10 +6,9 @@ array axes through one view and no axis permutation: qubit q is the
 middle axis of amps.reshape(2^(q-1), 2, -1), behind both the Hadamard
 butterfly and every one-qubit purity; phase gates index the (2,) * n
 reshape in apply_gate.  apply_circuit runs each block of consecutive
-phase gates as one diagonal multiply, built from the gates' qubit masks
-by numpy code of its own.  The array is mutated in place, never through
-matrices; the equivalence check runs once on a real 2n-qubit identity
-state.
+phase-gate masks in Circuit.ops as one diagonal multiply, built by numpy
+code of its own.  The array is mutated in place, never through matrices;
+the equivalence check runs once on a real 2n-qubit identity state.
 """
 
 from __future__ import annotations
@@ -85,25 +84,22 @@ def _apply_phase_block(state: StateVector, n: int, masks: list[int]) -> None:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply circuit's gates in order, each block of phase gates as one diagonal.
+    """Apply circuit's ops in order, each block of consecutive masks as one diagonal.
 
-    Hadamards go through apply_gate and end a block.  A phase gate is the
-    bit mask of its qubits; a block multiplies each amplitude once by -1
-    raised to the number of its gates whose mask the index contains, so
-    the result equals applying the gates one by one.  The mask transform
-    shares no code with boolfn's Moebius butterfly, so a run checks the
-    synthesized circuit instead of undoing a wrong ANF.
+    Hadamards go through apply_gate and end a block.  The diagonal, -1 to the number
+    of the block's masks each index contains, is built by code that shares nothing with
+    boolfn's Moebius butterfly, so a run checks the circuit instead of undoing a wrong ANF.
     """
     if circuit.n > state.n:
         raise ValueError(f"circuit needs {circuit.n} qubits, state has {state.n}")
     masks: list[int] = []
-    for gate in circuit.gates:
-        if isinstance(gate, Hadamard):
+    for op in circuit.ops:
+        if isinstance(op, Hadamard):
             _apply_phase_block(state, circuit.n, masks)
             masks = []
-            apply_gate(state, gate)
+            apply_gate(state, op)
         else:
-            masks.append(sum(1 << (circuit.n - q) for q in gate.qubits))
+            masks.append(op)
     _apply_phase_block(state, circuit.n, masks)
     return state
 

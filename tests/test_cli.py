@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from djphase.cli import main
+from djphase.cli import MAX_SHOTS, main
 import djphase.boolfn
 import djphase.dj_runner
 import djphase.verify
@@ -194,6 +194,41 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "1e-12 <= tol < 0.5" in err
+
+    @pytest.mark.parametrize(
+        "flags,mode,flag",
+        [
+            # 10**15 shots once asked numpy for 7.11 PiB and ended in a MemoryError.
+            (("--shots", "1000000000000000"), "refined", "--shots"),
+            (("--shots", str(MAX_SHOTS + 1)), "refined", "--shots"),
+            (("--shots", "-5"), "classical", "--shots"),
+            (("--shots", "64", "--seed", "-1"), "refined", "--seed"),
+            (("--seed", "-1"), "original", "--seed"),
+        ],
+    )
+    def test_shots_and_seed_checked_at_boundary(self, capsys, flags, mode, flag):
+        code, out, err = run_cli(capsys, "run", "--truth", "01010110", "--mode", mode, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must")
+
+    @pytest.mark.parametrize("flag", ["--shots", "--seed"])
+    def test_checked_before_truth_file_is_opened(self, capsys, tmp_path, flag):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, "run", "--truth-file", missing, flag, "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must") and "missing.txt" not in err
+        code, _, err = run_cli(capsys, "run", "--truth-file", missing)
+        assert code == 2 and "missing.txt" in err
+
+    def test_shots_at_limits_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--truth", "01", "--shots", str(MAX_SHOTS), "--format", "json"
+        )
+        assert code == 0
+        assert sum(json.loads(out)["histogram"].values()) == MAX_SHOTS
+        code, out, _ = run_cli(capsys, "run", "--truth", "01", "--shots", "0", "--seed", "0")
+        assert code == 0 and "histogram" not in out
 
     @pytest.mark.parametrize("mode", ["refined", "original"])
     def test_tol_at_rounding_floor_decides_constant(self, capsys, mode):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -72,6 +74,59 @@ class TestGateTypes:
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(ValueError):
             Circuit(2, (PhaseFlip(3),))
+
+    @pytest.mark.parametrize(
+        "op",
+        [0, 1 << 3, -1, True, 2.0, "z 1", PhaseFlip(4), MultiControlledZ((1, 2, 4)), Hadamard(4)],
+    )
+    def test_circuit_rejects_bad_op(self, op):
+        # Only ValueError: an AttributeError would mean a mask was read as a gate.
+        with pytest.raises(ValueError):
+            Circuit(3, (PhaseFlip(1), op))
+
+
+# One synthesized circuit per kind of content, and mixed circuits with Hadamards.
+CIRCUITS = [
+    synthesize(moebius_transform(parse_truth_table(text)))
+    for text in ("00000000", "01010110", "0000111100011111", "0110100110010111")
+] + [
+    Circuit(3, (Hadamard(2), PhaseFlip(3), ControlledPhase(1, 2), Hadamard(2))),
+    Circuit(4, (PhaseFlip(4), Hadamard(1), MultiControlledZ((1, 3, 4)), PhaseFlip(4))),
+]
+
+
+class TestCircuit:
+    @pytest.mark.parametrize("c", CIRCUITS)
+    def test_gates_and_ops_rebuild_the_circuit(self, c):
+        for ops in (c.gates, c.ops, list(c.ops)):
+            rebuilt = Circuit(c.n, ops)
+            assert rebuilt == c
+            assert hash(rebuilt) == hash(c)
+            assert rebuilt.ops == c.ops
+
+    @pytest.mark.parametrize("c", CIRCUITS)
+    def test_ops_are_masks_and_hadamards(self, c):
+        for op, gate in zip(c.ops, c.gates, strict=True):
+            if isinstance(gate, Hadamard):
+                assert op is gate
+            else:
+                # Bit n-q of the mask is set exactly for the gate's qubits q.
+                assert type(op) is int
+                assert op == sum(2 ** (c.n - q) for q in gate.qubits)
+
+    @pytest.mark.parametrize("c", CIRCUITS)
+    def test_pickle_and_deepcopy(self, c):
+        for clone in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+            assert clone == c
+            assert hash(clone) == hash(c)
+            assert clone.gates == c.gates
+            assert emit_text(clone) == emit_text(c)
+
+    def test_gates_view_is_rebuilt_not_stored(self):
+        c = CIRCUITS[-1]
+        assert c.gates == c.gates and c.gates is not c.gates
+        with pytest.raises(AttributeError):
+            c.gates = ()
 
 
 class TestSynthesize:

@@ -10,6 +10,7 @@ import oracles
 from djphase import (
     Anf,
     TruthTable,
+    all_truth_tables,
     anf_to_truth_table,
     degree,
     emit_text,
@@ -63,6 +64,23 @@ def test_anf_from_monomials_equals_transform(t):
         reference = oracles.moebius_bruteforce(t.values, t.n)
         assert a.monomials == reference
         assert degree(a) == max(map(len, reference), default=0)
+
+
+def reference_gate_order(t):
+    # The subset-sum ANF, sorted as qubit tuples: no mask, no butterfly.
+    monomials = (tuple(sorted(m)) for m in oracles.moebius_bruteforce(t.values, t.n) if m)
+    return sorted(monomials, key=lambda m: (min(len(m), 3), m))
+
+
+@PROPERTY_SETTINGS
+@given(tables().filter(lambda t: t.n <= 8))
+def test_gate_order_matches_sorted_monomials(t):
+    assert [g.qubits for g in synthesize(moebius_transform(t)).gates] == reference_gate_order(t)
+
+
+def test_gate_order_matches_sorted_monomials_exhaustive_n3():
+    for t in all_truth_tables(3):
+        assert [g.qubits for g in synthesize(moebius_transform(t)).gates] == reference_gate_order(t)
 
 
 @PROPERTY_SETTINGS
