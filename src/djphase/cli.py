@@ -12,7 +12,7 @@ Exit codes: 0 success; 2 bad input, including a --tol outside
 1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS or a negative
 `--seed` (all checked before any table is read), and a table too large
 for the run mode or for `synth` (n > 20); 3 promise violation; 4 a failed
-`verify` suite or a failed self-check inside `run`.
+`verify` suite or a failed self-check inside any other command.
 JSON output is byte-identical across runs for the same inputs.
 """
 

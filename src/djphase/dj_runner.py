@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .boolfn import FunctionClass, TruthTable, classify, moebius_transform
-from .oracle_compiler import synthesize
+from .oracle_compiler import SelfCheckError, synthesize
 from .simulator import (
     MAX_QUBITS,
     EntanglementProfile,
@@ -35,6 +35,7 @@ from .simulator import (
     entanglement_diagnostics,
     probabilities,
     qubit_purity,
+    stacked_diagnostics,
 )
 
 VERDICT_TOL = 1e-9
@@ -52,10 +53,6 @@ class Mode(Enum):
 
 class PromiseViolationError(ValueError):
     """The function is neither constant nor balanced."""
-
-
-class SelfCheckError(RuntimeError):
-    """A run's own consistency check failed: the simulated oracle misbehaved."""
 
 
 @dataclass(frozen=True)
@@ -201,3 +198,10 @@ def entanglement_profile(t: TruthTable) -> EntanglementProfile:
     apply_hadamard_all(state)
     apply_phase_oracle(state, t)
     return entanglement_diagnostics(state)
+
+
+def entanglement_profiles(tables: list[TruthTable]) -> list[EntanglementProfile]:
+    """entanglement_profile of each table, all on one n, from one stacked post-oracle state."""
+    bits = np.array([np.frombuffer(t.bits, dtype=np.uint8) for t in tables])
+    plus = apply_hadamard_all(basis_state(tables[0].n, 0)).amps
+    return stacked_diagnostics(plus * (1.0 - 2.0 * bits))

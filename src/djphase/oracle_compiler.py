@@ -33,6 +33,10 @@ class CircuitParseError(ValueError):
     """Malformed circuit text."""
 
 
+class SelfCheckError(RuntimeError):
+    """An internal consistency check failed: a run's oracle misbehaved, or an ANF was wrong."""
+
+
 @dataclass(frozen=True, init=False)
 class PhaseGate:
     """Z on the AND of a qubit set: flips the sign where every listed qubit is 1.
@@ -223,7 +227,11 @@ def synthesis_report(t: TruthTable) -> SynthesisReport:
     c = synthesize(a)
     ctype = None
     if t.n == 3 and classify(t) == FunctionClass.BALANCED:
-        ctype = classify_construction(c)
+        try:
+            ctype = classify_construction(c)
+        except ValueError as exc:
+            # Every balanced n=3 ANF has degree <= 2, so a rejected circuit means a wrong ANF.
+            raise SelfCheckError(str(exc)) from exc
     return SynthesisReport(
         truth_table=t,
         anf=a,

@@ -2,17 +2,19 @@
 
 Balanced functions come in complement pairs {f, 1 XOR f} whose oracles
 differ only by a global sign, so the census walks canonical
-representatives (f(0) = 0) and reports one row per class.  For n = 3 the
-rows also carry the construction-type tally.
+representatives (f(0) = 0) and reports one row per class.  Both reports
+read one walk, which diagnoses every class from one stacked post-oracle
+state.  For n = 3 the rows also carry the construction-type tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .boolfn import TruthTable, enumerate_balanced
 from .oracle_compiler import SynthesisReport, synthesis_report
-from .dj_runner import entanglement_profile, zero_amplitude_formula
+from .dj_runner import EntanglementProfile, entanglement_profiles, zero_amplitude_formula
 
 
 @dataclass(frozen=True)
@@ -56,25 +58,22 @@ def canonical_balanced(n: int) -> list[TruthTable]:
     return [t for t in enumerate_balanced(n) if t.bits[0] == 0]
 
 
+def _census(n: int) -> list[tuple[TruthTable, EntanglementProfile]]:
+    tables = canonical_balanced(n)
+    return list(zip(tables, entanglement_profiles(tables)))
+
+
 def enumeration_report(n: int) -> EnumerationReport:
-    balanced = enumerate_balanced(n)
     rows = tuple(
-        EnumerationRow(
-            synthesis_report(t), zero_amplitude_formula(t), entanglement_profile(t).fully_product
-        )
-        for t in balanced
-        if t.bits[0] == 0
+        EnumerationRow(synthesis_report(t), zero_amplitude_formula(t), profile.fully_product)
+        for t, profile in _census(n)
     )
-    type_counts: dict[int, int] | None = None
-    if n == 3:
-        type_counts = {1: 0, 2: 0, 3: 0, 4: 0}
-        for row in rows:
-            type_counts[int(row.report.construction_type)] += 1
+    types = dict(Counter(int(row.report.construction_type) for row in rows)) if n == 3 else None
     return EnumerationReport(
         n=n,
-        total_balanced=len(balanced),
+        total_balanced=2 * len(rows),
         classes=len(rows),
-        type_counts=type_counts,
+        type_counts=types,
         rows=rows,
     )
 
@@ -116,22 +115,20 @@ class EntanglementSurvey:
 def entanglement_survey(n: int) -> EntanglementSurvey:
     """Post-oracle entanglement across canonical balanced classes."""
     # Construction types exist only for n = 3, where every class has one.
-    rows = []
-    for t in canonical_balanced(n):
-        profile = entanglement_profile(t)
-        rows.append(
-            SurveyRow(
-                truth_table=t,
-                construction_type=int(synthesis_report(t).construction_type) if n == 3 else None,
-                purities=profile.purities,
-                fully_product=profile.fully_product,
-            )
+    rows = tuple(
+        SurveyRow(
+            truth_table=t,
+            construction_type=int(synthesis_report(t).construction_type) if n == 3 else None,
+            purities=profile.purities,
+            fully_product=profile.fully_product,
         )
+        for t, profile in _census(n)
+    )
     product = sum(row.fully_product for row in rows)
     return EntanglementSurvey(
         n=n,
         classes=len(rows),
         product_classes=product,
         entangled_classes=len(rows) - product,
-        rows=tuple(rows),
+        rows=rows,
     )

@@ -3,12 +3,13 @@
 Amplitudes live in a flat complex array of length 2^n, basis states
 indexed big-endian (qubit 1 is the most significant bit).  Qubits map to
 array axes through one view and no axis permutation: qubit q is the
-middle axis of amps.reshape(2^(q-1), 2, -1), behind both the Hadamard
-butterfly and every one-qubit purity; phase gates index the (2,) * n
-reshape in apply_gate.  apply_circuit runs each block of consecutive
-phase-gate masks in Circuit.ops as one diagonal multiply, built by numpy
-code of its own.  The array is mutated in place, never through matrices;
-the equivalence check runs once on a real 2n-qubit identity state.
+middle axis of amps.reshape(..., 2^(q-1), 2, -1), behind both the Hadamard
+butterfly and every one-qubit purity, of one state or of a (B, 2^n) stack;
+phase gates index the (2,) * n reshape in apply_gate.  apply_circuit runs
+each block of consecutive phase-gate masks in Circuit.ops as one diagonal
+multiply, built by numpy code of its own.  The array is mutated in place,
+never through matrices; the equivalence check runs once on a real 2n-qubit
+identity state.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def basis_state(n: int, index: int = 0) -> StateVector:
     return StateVector(n, amps)
 
 
-def _qubit_view(state: StateVector, q: int) -> np.ndarray:
-    return state.amps.reshape(1 << (q - 1), 2, -1)
+def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:
+    return amps.reshape(amps.shape[:-1] + (1 << (q - 1), 2, -1))
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -59,7 +60,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     if bad:
         raise ValueError(f"gate {gate.mnemonic} touches qubit {bad[0]} but state has {state.n}")
     if isinstance(gate, Hadamard):
-        v = _qubit_view(state, gate.qubits[0])
+        v = _qubit_view(state.amps, gate.qubits[0])
         lo = v[:, 0].copy()
         v[:, 0] = (lo + v[:, 1]) * _INV_SQRT2
         v[:, 1] = (lo - v[:, 1]) * _INV_SQRT2
@@ -160,41 +161,47 @@ class EntanglementProfile:
     fully_product: bool
 
 
-def _qubit_rows(state: StateVector, q: int) -> np.ndarray:
-    return _qubit_view(state, q).swapaxes(0, 1).reshape(2, -1)
+def _qubit_rows(amps: np.ndarray, q: int) -> np.ndarray:
+    return _qubit_view(amps, q).swapaxes(-3, -2).reshape(amps.shape[:-1] + (2, -1))
 
 
-def _purity(m: np.ndarray) -> float:
-    rho = m @ m.conj().T
-    return float(np.trace(rho @ rho).real)
+def _purity(m: np.ndarray) -> np.ndarray:
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def qubit_purity(state: StateVector, q: int) -> float:
     """Tr(rho^2) of qubit q alone: rho = M M^dagger, M has qubit q on its 2 rows."""
-    return _purity(_qubit_rows(state, q))
+    return float(_purity(_qubit_rows(state.amps, q)))
+
+
+def stacked_diagnostics(amps: np.ndarray) -> list[EntanglementProfile]:
+    """Single-qubit reduced purities and cut Schmidt ranks of each state in a (B, 2^n) stack.
+
+    For each qubit q each state is reshaped to a 2 x 2^(n-1) matrix M with
+    qubit q on the rows; the reduced density matrix is M M^dagger, its
+    purity Tr(rho^2), and the Schmidt rank across the q-vs-rest cut the
+    number of singular values of M above 1e-9.  Every state must be
+    normalized.
+    """
+    worst = max(np.linalg.norm(amps, axis=-1).tolist(), key=lambda norm: abs(norm - 1.0))
+    if abs(worst - 1.0) > NORM_GUARD_TOL:
+        raise ValueError(f"state norm {worst:.6f} too far from 1 for diagnostics")
+    purities = []
+    ranks = []
+    for q in range(1, amps.shape[-1].bit_length()):
+        m = _qubit_rows(amps, q)
+        purities.append(_purity(m))
+        ranks.append(np.sum(np.linalg.svd(m, compute_uv=False) > SCHMIDT_CUTOFF, axis=-1))
+    return [
+        EntanglementProfile(tuple(p), tuple(r), all(x >= 1.0 - PURITY_TOL for x in p))
+        for p, r in zip(np.stack(purities, axis=-1).tolist(), np.stack(ranks, axis=-1).tolist())
+    ]
 
 
 def entanglement_diagnostics(state: StateVector) -> EntanglementProfile:
-    """Single-qubit reduced purities and cut Schmidt ranks.
-
-    For each qubit q the state is reshaped to a 2 x 2^(n-1) matrix M with
-    qubit q on the rows; the reduced density matrix is M M^dagger, its
-    purity Tr(rho^2), and the Schmidt rank across the q-vs-rest cut the
-    number of singular values of M above 1e-9.  The state must be
-    normalized.
-    """
-    norm = float(np.linalg.norm(state.amps))
-    if abs(norm - 1.0) > NORM_GUARD_TOL:
-        raise ValueError(f"state norm {norm:.6f} too far from 1 for diagnostics")
-    purities = []
-    ranks = []
-    for q in range(1, state.n + 1):
-        m = _qubit_rows(state, q)
-        purities.append(_purity(m))
-        singular = np.linalg.svd(m, compute_uv=False)
-        ranks.append(int(np.sum(singular > SCHMIDT_CUTOFF)))
-    fully_product = all(p >= 1.0 - PURITY_TOL for p in purities)
-    return EntanglementProfile(tuple(purities), tuple(ranks), fully_product)
+    """stacked_diagnostics of one state: the same floats as a stack that holds it."""
+    return stacked_diagnostics(state.amps[None])[0]
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def _check_oracle_equivalence(tol: float) -> CheckResult:
 def _check_census() -> CheckResult:
     try:
         report = enumeration_report(3)
-    except ValueError as exc:
+    except (ValueError, SelfCheckError) as exc:
         # Input here is fixed, so a raise is a defect upstream, e.g. a wrong
         # ANF whose circuit needs a gate beyond cz.
         return _result("census", [f"enumeration_report(3) raised: {exc}"], "")

@@ -456,3 +456,31 @@ class TestArgHandling:
         assert proc.returncode == 0
         for name in ("synth", "run", "enumerate", "entangle", "verify"):
             assert name in proc.stdout
+
+
+class TestInternalDefect:
+    # An identity butterfly gives some balanced n=3 tables a ccz, which no degree <= 2
+    # ANF has: valid input, wrong internals, so exit 4 rather than 2.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "-n", "3"),
+            ("entangle", "-n", "3"),
+            ("synth", "--truth", "01101001"),
+            ("synth", "--truth", "01101001", "--format", "json"),
+        ],
+    )
+    def test_wrong_anf_exits_4(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(djphase.boolfn, "_butterfly", lambda bits, n: bits)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == "error: construction types cover z/cz circuits only\n"
+
+    def test_classify_construction_still_rejects_with_value_error(self):
+        from djphase import Circuit, MultiControlledZ, classify_construction
+
+        with pytest.raises(ValueError, match="z/cz circuits only"):
+            classify_construction(Circuit(3, (MultiControlledZ((1, 2, 3)),)))
+        with pytest.raises(ValueError, match="3 qubits"):
+            classify_construction(Circuit(4, (1,)))
