@@ -38,7 +38,8 @@ class TruthTable:
             raise TruthTableError(
                 f"expected {1 << self.n} entries for n={self.n}, got {len(self.bits)}"
             )
-        is_bytes = type(self.bits) is bytes  # bytes: one C scan; else set(), where True and 1.0 pass
+        # bytes: one C scan; else set(), where True and 1.0 pass
+        is_bytes = type(self.bits) is bytes
         if self.bits.translate(None, b"\0\1") if is_bytes else not set(self.bits) <= {0, 1}:
             raise TruthTableError("truth-table entries must be 0 or 1")
         if not is_bytes:

@@ -8,6 +8,12 @@ Subcommands:
 * entangle: post-oracle entanglement survey.
 * verify: run the built-in verification suites.
 
+Each `cmd_*` handler returns its output text and exit code, and `main`
+is the one place that writes it, to `--out` or to stdout.  A result has
+one representation, the dict that `--format json` (`verify --json`)
+dumps; the text views render that same dict.  `synth` text is the
+circuit text format instead, so it never renders the ANF.
+
 Exit codes: 0 success; 2 bad input, including a --tol outside
 1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS or a negative
 `--seed` (all checked before any table is read), and a table too large
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .boolfn import TruthTable, TruthTableError, parse_truth_table
 from .oracle_compiler import CircuitParseError, emit_text, synthesis_report
@@ -75,15 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--out", help="write to this file instead of stdout")
 
-    enum_p = sub.add_parser("enumerate", help="census of balanced functions")
-    enum_p.add_argument("-n", type=int, default=3, help="qubit count (2 to 4)")
-    enum_p.add_argument("--format", choices=("table", "json"), default="table")
-    enum_p.add_argument("--out", help="write to this file instead of stdout")
-
-    ent = sub.add_parser("entangle", help="post-oracle entanglement survey")
-    ent.add_argument("-n", type=int, default=3, help="qubit count (2 to 4)")
-    ent.add_argument("--format", choices=("table", "json"), default="table")
-    ent.add_argument("--out", help="write to this file instead of stdout")
+    for name, help_text in (
+        ("enumerate", "census of balanced functions"),
+        ("entangle", "post-oracle entanglement survey"),
+    ):
+        census = sub.add_parser(name, help=help_text)
+        census.add_argument("-n", type=int, default=3, help="qubit count (2 to 4)")
+        census.add_argument("--format", choices=("table", "json"), default="table")
+        census.add_argument("--out", help="write to this file instead of stdout")
 
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument("--tol", type=float, default=1e-9)
@@ -105,45 +111,26 @@ def _load_tables(args: argparse.Namespace) -> list[TruthTable]:
     return tables
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _inline_circuit(circuit_text: str) -> str:
-    return "; ".join(circuit_text.strip().splitlines())
-
-
-def _synth_payload(t: TruthTable) -> dict:
-    r = synthesis_report(t)
-    return {**r.as_dict(), "dropped_global_sign": r.dropped_global_sign}
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     tables = _load_tables(args)
     for t in tables:
         if t.n > MAX_QUBITS:
             raise ValueError(f"synth supports n <= {MAX_QUBITS}, got n={t.n}")
     single = args.truth is not None
+    reports = map(synthesis_report, tables)
     if args.format == "json":
-        payloads = [_synth_payload(t) for t in tables]
-        text = _json_text(payloads[0] if single else payloads)
-    elif single:
-        text = emit_text(synthesis_report(tables[0]).circuit)
-    else:
-        blocks = [
-            f"# table {t.text}\n" + emit_text(synthesis_report(t).circuit) for t in tables
-        ]
-        text = "\n".join(blocks)
-    _write_out(text, args.out)
-    return EXIT_OK
+        payloads = [{**r.as_dict(), "dropped_global_sign": r.dropped_global_sign} for r in reports]
+        return _json_text(payloads[0] if single else payloads), EXIT_OK
+    # The text view is the circuit text format itself; the JSON dict would render
+    # every ANF only to drop it.
+    if single:
+        return emit_text(next(reports).circuit), EXIT_OK
+    blocks = [f"# table {r.truth_table.text}\n" + emit_text(r.circuit) for r in reports]
+    return "\n".join(blocks), EXIT_OK
 
 
 def _run_payload(t: TruthTable, args: argparse.Namespace) -> dict:
@@ -173,103 +160,80 @@ def _run_payload(t: TruthTable, args: argparse.Namespace) -> dict:
     return payload
 
 
-def _render_run_text(payload: dict) -> str:
-    lines = [
-        f"truth_table: {payload['truth_table']}",
-        f"mode: {payload['mode']}",
-        f"verdict: {payload['verdict']}",
-    ]
-    if "zero_amplitude" in payload:
-        lines.append(f"zero_amplitude: {payload['zero_amplitude']!r}")
-    lines.append(f"queries_used: {payload['queries_used']}")
-    if "working_qubit_purity" in payload:
-        lines.append(f"working_qubit_purity: {payload['working_qubit_purity']!r}")
-    if "histogram" in payload:
-        lines.append("histogram:")
-        for bits, count in payload["histogram"].items():
-            lines.append(f"  {bits} {count}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
     check_tol(args.tol)
     if not 0 <= args.shots <= MAX_SHOTS:
         raise ValueError(f"--shots must satisfy 0 <= shots <= {MAX_SHOTS}, got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    tables = _load_tables(args)
-    single = args.truth is not None
-    payloads = [_run_payload(t, args) for t in tables]
+    payloads = [_run_payload(t, args) for t in _load_tables(args)]
     if args.format == "json":
-        text = _json_text(payloads[0] if single else payloads)
-    else:
-        text = "\n".join(_render_run_text(p) for p in payloads)
-    _write_out(text, args.out)
-    return EXIT_OK
+        return _json_text(payloads[0] if args.truth is not None else payloads), EXIT_OK
+    # One `key: value` line per field, in payload order; str(float) is repr(float).
+    blocks = []
+    for payload in payloads:
+        lines = []
+        for key, value in payload.items():
+            if key == "histogram":
+                lines += ["histogram:", *(f"  {bits} {count}" for bits, count in value.items())]
+            elif key != "probabilities":
+                lines.append(f"{key}: {value}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks), EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    report = enumeration_report(args.n)
+def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+    report = enumeration_report(args.n).as_dict()
     if args.format == "json":
-        _write_out(_json_text(report.as_dict()), args.out)
-        return EXIT_OK
+        return _json_text(report), EXIT_OK
     lines = [
-        f"n = {report.n}",
-        f"balanced functions: {report.total_balanced}",
-        f"complement classes: {report.classes}",
+        f"n = {report['n']}",
+        f"balanced functions: {report['total_balanced']}",
+        f"complement classes: {report['classes']}",
     ]
-    if report.type_counts is not None:
-        lines.append(
-            "type counts: " + "  ".join(f"{k}:{v}" for k, v in sorted(report.type_counts.items()))
-        )
+    if report["type_counts"] is not None:
+        tally = "  ".join(f"{k}:{v}" for k, v in report["type_counts"].items())
+        lines.append(f"type counts: {tally}")
     lines.append("")
-    dicts = [row.as_dict() for row in report.rows]
-    anf_width = max(len(d["anf"]) for d in dicts)
-    for d in dicts:
-        ctype = d["type"] if d["type"] is not None else "-"
-        tag = "product" if d["fully_product"] else "entangled"
+    anf_width = max(len(row["anf"]) for row in report["rows"])
+    for row in report["rows"]:
+        ctype = row["type"] if row["type"] is not None else "-"
+        tag = "product" if row["fully_product"] else "entangled"
+        circuit = "; ".join(row["circuit"].strip().splitlines())
         lines.append(
-            f"{d['truth_table']}  type {ctype}  {tag:<9}  "
-            f"{d['anf']:<{anf_width}}  {_inline_circuit(d['circuit'])}"
+            f"{row['truth_table']}  type {ctype}  {tag:<9}  "
+            f"{row['anf']:<{anf_width}}  {circuit}"
         )
-    _write_out("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_entangle(args: argparse.Namespace) -> int:
-    survey = entanglement_survey(args.n)
+def cmd_entangle(args: argparse.Namespace) -> tuple[str, int]:
+    survey = entanglement_survey(args.n).as_dict()
     if args.format == "json":
-        _write_out(_json_text(survey.as_dict()), args.out)
-        return EXIT_OK
+        return _json_text(survey), EXIT_OK
     lines = [
-        f"n = {survey.n}",
-        f"complement classes: {survey.classes}",
-        f"fully product: {survey.product_classes}",
-        f"entangled: {survey.entangled_classes}",
+        f"n = {survey['n']}",
+        f"complement classes: {survey['classes']}",
+        f"fully product: {survey['product_classes']}",
+        f"entangled: {survey['entangled_classes']}",
         "",
     ]
-    for row in survey.rows:
-        ctype = row.construction_type if row.construction_type is not None else "-"
-        purity_text = " ".join(f"{p:.6f}" for p in row.purities)
-        tag = "product" if row.fully_product else "entangled"
-        lines.append(f"{row.truth_table.text}  type {ctype}  purities {purity_text}  {tag}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    for row in survey["rows"]:
+        ctype = row["type"] if row["type"] is not None else "-"
+        purity_text = " ".join(f"{p:.6f}" for p in row["purities"])
+        tag = "product" if row["fully_product"] else "entangled"
+        lines.append(f"{row['truth_table']}  type {ctype}  purities {purity_text}  {tag}")
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    check_tol(args.tol)
-    results = run_verification(tol=args.tol)
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    results = [asdict(r) for r in run_verification(tol=args.tol)]
+    code = EXIT_OK if all(r["passed"] for r in results) else EXIT_VERIFY
     if args.json:
-        payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        sys.stdout.write(_json_text(payload))
-    else:
-        for r in results:
-            tag = "PASS" if r.passed else "FAIL"
-            print(f"[{tag}] {r.name}: {r.detail}")
-        passed = sum(1 for r in results if r.passed)
-        print(f"{passed}/{len(results)} suites passed")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+        return _json_text(results), code
+    lines = [f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}: {r['detail']}" for r in results]
+    lines.append(f"{sum(r['passed'] for r in results)}/{len(results)} suites passed")
+    return "\n".join(lines) + "\n", code
 
 
 _HANDLERS = {
@@ -282,13 +246,21 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its text to --out or stdout: the CLI's one output path."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        text, code = _HANDLERS[args.command](args)
+        out = getattr(args, "out", None)  # verify has no --out
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return code
     except PromiseViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROMISE

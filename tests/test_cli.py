@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from djphase.cli import MAX_SHOTS, main
+from djphase.cli import _HANDLERS, build_parser
 import djphase.boolfn
 import djphase.dj_runner
 import djphase.verify
@@ -484,3 +485,57 @@ class TestInternalDefect:
             classify_construction(Circuit(3, (MultiControlledZ((1, 2, 3)),)))
         with pytest.raises(ValueError, match="3 qubits"):
             classify_construction(Circuit(4, (1,)))
+
+
+class TestRunTextView:
+    def test_histogram_block(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--truth", "01010110", "--shots", "5", "--seed", "1"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "truth_table: 01010110\n"
+            "mode: refined\n"
+            "verdict: balanced\n"
+            "zero_amplitude: 0.0\n"
+            "queries_used: 1\n"
+            "histogram:\n"
+            "  001 1\n"
+            "  011 1\n"
+            "  101 1\n"
+            "  111 2\n"
+        )
+
+
+class TestEmptyTruthFile:
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_no_tables_exits_2_and_writes_nothing(self, capsys, tmp_path, command):
+        path = tmp_path / "tables.txt"
+        path.write_text("# only a comment\n\n   \n# another # one\n", encoding="utf-8")
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            capsys, command, "--truth-file", str(path), "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: no truth tables found in {path}\n"
+        assert not target.exists()
+
+
+
+class TestOneOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--truth", "01010110"),
+            ("synth", "--truth", "01010110", "--format", "json"),
+            ("run", "--truth", "01010110", "--shots", "5", "--seed", "1"),
+            ("enumerate", "-n", "2"),
+            ("entangle", "-n", "2", "--format", "json"),
+            ("verify",),
+        ],
+    )
+    def test_handler_returns_what_main_writes(self, capsys, argv):
+        args = build_parser().parse_args(argv)
+        text, code = _HANDLERS[args.command](args)
+        assert capsys.readouterr() == ("", "")
+        assert run_cli(capsys, *argv) == (code, text, "")

@@ -310,3 +310,26 @@ class TestTextFormat:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(CircuitParseError, match="line 3"):
             parse_text("qubits 3\nz 1\nbogus 2\n")
+
+
+class TestPhaseGateCopies:
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            PhaseFlip(2),
+            ControlledPhase(3, 1),
+            MultiControlledZ((1, 2, 3)),
+            MultiControlledZ((4, 1, 3, 2)),
+        ],
+        ids=["z", "cz", "ccz", "cccz"],
+    )
+    def test_pickle_and_deepcopy_round_trip(self, gate):
+        for copied in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate)):
+            assert copied == gate
+            assert type(copied) is type(gate)
+            assert copied.mnemonic == gate.mnemonic
+
+
+def test_classify_construction_rejects_four_controlled_phases():
+    with pytest.raises(ValueError, match="unexpected controlled-phase count 4"):
+        classify_construction(Circuit(3, (6, 6, 5, 3)))

@@ -9,6 +9,7 @@ import oracles
 import djphase.boolfn
 import djphase.dj_runner
 import djphase.verify
+from djphase.cli import main
 from djphase import (
     FunctionClass,
     Mode,
@@ -251,3 +252,41 @@ class TestEntanglementProfile:
                 assert prof.purities[q - 1] == pytest.approx(
                     oracles.reduced_purity(amps, q, 3), abs=1e-12
                 )
+
+
+
+def hadamard_where_f_is_1(state, t):
+    """Not an XOR oracle: a Hadamard on the working qubit of every row where f is 1."""
+    view = state.amps.reshape(-1, 2)
+    rows = np.frombuffer(t.bits, dtype=bool)
+    lo, hi = view[rows, 0], view[rows, 1]
+    view[rows, 0], view[rows, 1] = (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
+    return state
+
+
+class TestWorkingQubitSelfCheck:
+    MESSAGE = "working qubit purity 0.749999999999999 drifted from 1"
+
+    def test_non_xor_oracle_fails_the_self_check(self, monkeypatch):
+        monkeypatch.setattr(djphase.dj_runner, "_apply_xor_oracle", hadamard_where_f_is_1)
+        with pytest.raises(SelfCheckError) as info:
+            run_original(parse_truth_table("01010110"))
+        assert str(info.value).startswith(self.MESSAGE)
+
+    def test_cli_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(djphase.dj_runner, "_apply_xor_oracle", hadamard_where_f_is_1)
+        code = main(["run", "--truth", "01010110", "--mode", "original"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.startswith(f"error: {self.MESSAGE}")
+
+    def test_constant_tables_pass_the_self_check(self, monkeypatch):
+        monkeypatch.setattr(djphase.dj_runner, "_apply_xor_oracle", hadamard_where_f_is_1)
+        # f = 0 touches no row.
+        out = run_original(parse_truth_table("00000000"))
+        assert out.verdict == Verdict.CONSTANT
+        assert out.working_qubit_purity == pytest.approx(1.0, abs=1e-12)
+        # f = 1 turns the working qubit's |-> into |1> on every row: still a product
+        # state, so only the final verdict check can catch it.
+        with pytest.raises(SelfCheckError, match="zero amplitude"):
+            run_original(parse_truth_table("11111111"))
