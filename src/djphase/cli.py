@@ -33,8 +33,10 @@ from .boolfn import TruthTable, TruthTableError, parse_truth_table
 from .oracle_compiler import CircuitParseError, emit_text, synthesis_report
 from .reports import entanglement_survey, enumeration_report
 from .dj_runner import (
+    Mode,
     PromiseViolationError,
     SelfCheckError,
+    check_run,
     check_tol,
     classical_decide,
     run_original,
@@ -166,7 +168,11 @@ def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"--shots must satisfy 0 <= shots <= {MAX_SHOTS}, got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    payloads = [_run_payload(t, args) for t in _load_tables(args)]
+    tables = _load_tables(args)
+    if args.mode != "classical":  # a classical run is little more than its promise check
+        for t in tables:
+            check_run(t, Mode(args.mode), args.tol)
+    payloads = [_run_payload(t, args) for t in tables]
     if args.format == "json":
         return _json_text(payloads[0] if args.truth is not None else payloads), EXIT_OK
     # One `key: value` line per field, in payload order; str(float) is repr(float).

@@ -1,7 +1,8 @@
 """End-to-end Deutsch-Jozsa runs on simulated statevectors.
 
-Two quantum variants share the decision rule on the all-zeros amplitude
-after the final Hadamard layer: magnitude 1 means constant (the sign
+Two quantum variants share one prologue, `check_run`, and one read-out:
+once the final probabilities sum to 1, the all-zeros amplitude after the
+final Hadamard layer decides: magnitude 1 means constant (the sign
 telling constant-0 from constant-1), magnitude 0 means balanced.
 
 * refined: n qubits, the oracle is a diagonal phase circuit synthesized
@@ -26,6 +27,7 @@ from .boolfn import FunctionClass, TruthTable, classify, moebius_transform
 from .oracle_compiler import SelfCheckError, synthesize
 from .simulator import (
     MAX_QUBITS,
+    NORM_GUARD_TOL,
     EntanglementProfile,
     StateVector,
     apply_circuit,
@@ -98,12 +100,33 @@ def _decide(zero: float, tol: float) -> Verdict:
     )
 
 
+def check_run(t: TruthTable, mode: Mode, tol: float) -> None:
+    """The checks a quantum run makes before any work: tol range, size limit, promise."""
+    check_tol(tol)
+    if mode == Mode.REFINED and t.n > MAX_QUBITS:
+        raise ValueError(f"refined mode supports n <= {MAX_QUBITS}, got n={t.n}")
+    if mode == Mode.ORIGINAL and t.n + 1 > MAX_QUBITS:
+        raise ValueError(
+            f"original mode needs n+1 qubits and supports n <= {MAX_QUBITS - 1}, got n={t.n}"
+        )
+    _check_promise(t)
+
+
+def _read_out(
+    state: StateVector, index: int, probs: np.ndarray, mode: Mode, purity: float | None, tol: float
+) -> DjOutcome:
+    # The verdict reads one amplitude, so a layer that scales the state could pass
+    # for a constant table: the final distribution must first sum to 1.
+    total = float(probs.sum())
+    if abs(total - 1.0) > NORM_GUARD_TOL:
+        raise SelfCheckError(f"final probabilities sum to {total:.6f}: a layer is not unitary")
+    zero = float(state.amps[index].real)
+    return DjOutcome(_decide(zero, tol), zero, probs, 1, mode, state.amps, purity)
+
+
 def run_refined(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     """One oracle query on n qubits using the synthesized phase circuit."""
-    check_tol(tol)
-    if t.n > MAX_QUBITS:
-        raise ValueError(f"refined mode supports n <= {MAX_QUBITS}, got n={t.n}")
-    _check_promise(t)
+    check_run(t, Mode.REFINED, tol)
     anf = moebius_transform(t)
     circuit = synthesize(anf)
     state = basis_state(t.n, 0)
@@ -114,16 +137,7 @@ def run_refined(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
         # The synthesized circuit omits the constant-1 monomial; restore
         # its global -1 so the zero amplitude carries the right sign.
         state.amps *= -1.0
-    zero = float(state.amps[0].real)
-    return DjOutcome(
-        verdict=_decide(zero, tol),
-        zero_amplitude=zero,
-        final_probabilities=probabilities(state),
-        queries_used=1,
-        mode=Mode.REFINED,
-        final_amplitudes=state.amps,
-        working_qubit_purity=None,
-    )
+    return _read_out(state, 0, probabilities(state), Mode.REFINED, None, tol)
 
 
 def _apply_xor_oracle(state: StateVector, t: TruthTable) -> StateVector:
@@ -143,12 +157,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     tol) right after the oracle; the query register distribution is then
     read off the final state.
     """
-    check_tol(tol)
-    if t.n + 1 > MAX_QUBITS:
-        raise ValueError(
-            f"original mode needs n+1 qubits and supports n <= {MAX_QUBITS - 1}, got n={t.n}"
-        )
-    _check_promise(t)
+    check_run(t, Mode.ORIGINAL, tol)
     state = apply_hadamard_all(basis_state(t.n + 1, 1))
     _apply_xor_oracle(state, t)
     purity = qubit_purity(state, t.n + 1)
@@ -159,17 +168,8 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     apply_hadamard_all(state)
     # The working qubit is back in |1>, so the query-register amplitudes
     # are the odd entries.
-    zero = float(state.amps[1].real)
     marginal = probabilities(state).reshape(-1, 2).sum(axis=1)
-    return DjOutcome(
-        verdict=_decide(zero, tol),
-        zero_amplitude=zero,
-        final_probabilities=marginal,
-        queries_used=1,
-        mode=Mode.ORIGINAL,
-        final_amplitudes=state.amps,
-        working_qubit_purity=purity,
-    )
+    return _read_out(state, 1, marginal, Mode.ORIGINAL, purity, tol)
 
 
 def zero_amplitude_formula(t: TruthTable) -> float:
@@ -204,4 +204,8 @@ def entanglement_profiles(tables: list[TruthTable]) -> list[EntanglementProfile]
     """entanglement_profile of each table, all on one n, from one stacked post-oracle state."""
     bits = np.array([np.frombuffer(t.bits, dtype=np.uint8) for t in tables])
     plus = apply_hadamard_all(basis_state(tables[0].n, 0)).amps
-    return stacked_diagnostics(plus * (1.0 - 2.0 * bits))
+    try:
+        return stacked_diagnostics(plus * (1.0 - 2.0 * bits))
+    except ValueError as exc:
+        # The stack is built here from valid tables, so a failed guard is a defect.
+        raise SelfCheckError(str(exc)) from exc

@@ -54,16 +54,20 @@ def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (1 << (q - 1), 2, -1))
 
 
+def _hadamard(amps: np.ndarray, q: int) -> None:
+    v = _qubit_view(amps, q)
+    lo = v[:, 0].copy()
+    v[:, 0] = (lo + v[:, 1]) * _INV_SQRT2
+    v[:, 1] = (lo - v[:, 1]) * _INV_SQRT2
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Mutate state in place; returns it for chaining."""
     bad = [q for q in gate.qubits if q < 1 or q > state.n]
     if bad:
         raise ValueError(f"gate {gate.mnemonic} touches qubit {bad[0]} but state has {state.n}")
     if isinstance(gate, Hadamard):
-        v = _qubit_view(state.amps, gate.qubits[0])
-        lo = v[:, 0].copy()
-        v[:, 0] = (lo + v[:, 1]) * _INV_SQRT2
-        v[:, 1] = (lo - v[:, 1]) * _INV_SQRT2
+        _hadamard(state.amps, gate.qubit)
     else:
         # On all n qubits the index reads a scalar copy: write through it.
         index = tuple(1 if q in gate.qubits else slice(None) for q in range(1, state.n + 1))
@@ -87,7 +91,7 @@ def _apply_phase_block(state: StateVector, n: int, masks: list[int]) -> None:
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply circuit's ops in order, each block of consecutive masks as one diagonal.
 
-    Hadamards go through apply_gate and end a block.  The diagonal, -1 to the number
+    Hadamards, already checked by Circuit, end a block.  The diagonal, -1 to the number
     of the block's masks each index contains, is built by code that shares nothing with
     boolfn's Moebius butterfly, so a run checks the circuit instead of undoing a wrong ANF.
     """
@@ -98,7 +102,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         if isinstance(op, Hadamard):
             _apply_phase_block(state, circuit.n, masks)
             masks = []
-            apply_gate(state, op)
+            _hadamard(state.amps, op.qubit)
         else:
             masks.append(op)
     _apply_phase_block(state, circuit.n, masks)
@@ -107,7 +111,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 def apply_hadamard_all(state: StateVector) -> StateVector:
     for q in range(1, state.n + 1):
-        apply_gate(state, Hadamard(q))
+        _hadamard(state.amps, q)
     return state
 
 

@@ -170,6 +170,10 @@ class TestMoebius:
             assert a.monomials == oracles.moebius_bruteforce(t.values, n)
             assert anf_to_truth_table(a) == t
 
+    def test_rejects_zero_qubits(self):
+        with pytest.raises(ValueError, match="qubit count must be at least 1, got 0"):
+            Anf(0, ())
+
     def test_rejects_out_of_range_monomial(self):
         with pytest.raises(ValueError):
             Anf(2, frozenset({frozenset({3})}))

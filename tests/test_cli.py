@@ -11,7 +11,9 @@ import pytest
 from djphase.cli import MAX_SHOTS, main
 from djphase.cli import _HANDLERS, build_parser
 import djphase.boolfn
+import djphase.cli
 import djphase.dj_runner
+import djphase.simulator
 import djphase.verify
 
 
@@ -539,3 +541,77 @@ class TestOneOutputPath:
         text, code = _HANDLERS[args.command](args)
         assert capsys.readouterr() == ("", "")
         assert run_cli(capsys, *argv) == (code, text, "")
+
+
+class TestRunChecksEveryTableFirst:
+    # The second table fails its run's checks, so not even the first may run.
+    @pytest.mark.parametrize(
+        "mode,second,code,err",
+        [
+            ("refined", "0" * (1 << 21), 2, "refined mode supports n <= 20, got n=21"),
+            ("original", "0" * (1 << 20), 2, "original mode needs n+1 qubits and supports"),
+            ("refined", "0111", 3, "truth table 0111 is neither constant nor balanced"),
+            ("original", "0111", 3, "truth table 0111 is neither constant nor balanced"),
+        ],
+        ids=["refined-too-large", "original-too-large", "refined-promise", "original-promise"],
+    )
+    def test_no_run_before_a_bad_table(
+        self, capsys, monkeypatch, tmp_path, mode, second, code, err
+    ):
+        calls = []
+        for name in ("run_refined", "run_original"):
+            runner = getattr(djphase.cli, name)
+            monkeypatch.setattr(
+                djphase.cli, name, lambda t, tol, runner=runner: calls.append(t) or runner(t, tol)
+            )
+        path = tmp_path / "tables.txt"
+        path.write_text(f"01101001\n{second}\n", encoding="utf-8")
+        got, out, stderr = run_cli(capsys, "run", "--mode", mode, "--truth-file", str(path))
+        assert (got, out, calls) == (code, "", [])
+        assert stderr.startswith(f"error: {err}")
+        # The counting runners are the ones the command calls.
+        path.write_text("01101001\n0110\n", encoding="utf-8")
+        assert run_cli(capsys, "run", "--mode", mode, "--truth-file", str(path))[0] == 0
+        assert [t.text for t in calls] == ["01101001", "0110"]
+
+
+def scaled_layer(state):
+    """A Hadamard layer that also scales the state by 1.1, so it is not unitary."""
+    state.amps *= 1.1
+    return djphase.simulator.apply_hadamard_all(state)
+
+
+class TestNonUnitaryLayer:
+    # Every post-oracle state comes from dj_runner's Hadamard layers; scaling them is
+    # an internal defect, never malformed input (2) or a verdict (0).
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--truth", "01101001"),
+            # The zero amplitude reads 1.21, inside the constant band.
+            ("run", "--truth", "00000000"),
+            # sample_counts' own guard would call this input error.
+            ("run", "--truth", "01101001", "--shots", "5"),
+        ],
+    )
+    def test_refined_run_exits_4(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", scaled_layer)
+        assert run_cli(capsys, *argv) == (
+            4, "", "error: final probabilities sum to 1.464100: a layer is not unitary\n"
+        )
+
+    @pytest.mark.parametrize("command", ["enumerate", "entangle"])
+    def test_census_exits_4(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", scaled_layer)
+        assert run_cli(capsys, command, "-n", "3") == (
+            4, "", "error: state norm 1.100000 too far from 1 for diagnostics\n"
+        )
+
+    def test_verify_reports_the_census_raise(self, capsys, monkeypatch):
+        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", scaled_layer)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 4
+        assert (
+            "[FAIL] census: 1 failed; first: enumeration_report(3) raised: "
+            "state norm 1.100000 too far from 1 for diagnostics\n"
+        ) in out

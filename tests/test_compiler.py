@@ -71,6 +71,10 @@ class TestGateTypes:
         with pytest.raises(ValueError):
             ControlledPhase(0, 1)
 
+    def test_circuit_rejects_zero_qubits(self):
+        with pytest.raises(ValueError, match="qubit count must be at least 1, got 0"):
+            Circuit(0, ())
+
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(ValueError):
             Circuit(2, (PhaseFlip(3),))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+import djphase.simulator
 from djphase import (
     Circuit,
     ControlledPhase,
@@ -199,6 +200,26 @@ class TestFusedPhaseBlocks:
         expected = apply_gates_one_by_one(StateVector(n, state.amps.copy()), gates)
         apply_circuit(state, Circuit(n, gates))
         assert np.array_equal(state.amps, expected.amps)
+
+
+class TestOneButterfly:
+    """Layers and circuit Hadamards run the butterfly itself, never through apply_gate."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_bitwise_equal_to_per_gate_without_apply_gate(self, n, monkeypatch):
+        def unreachable(state, gate):
+            raise AssertionError("a layer or circuit went through apply_gate")
+
+        amps = random_state(n, seed=40 + n).amps
+        layer = [Hadamard(q) for q in range(1, n + 1)]
+        gates = (Hadamard(1), PhaseFlip(n), Hadamard(n), Hadamard(1))
+        want_layer = apply_gates_one_by_one(StateVector(n, amps.copy()), layer).amps
+        want_circuit = apply_gates_one_by_one(StateVector(n, amps.copy()), gates).amps
+        monkeypatch.setattr(djphase.simulator, "apply_gate", unreachable)
+        got_layer = apply_hadamard_all(StateVector(n, amps.copy())).amps
+        got_circuit = apply_circuit(StateVector(n, amps.copy()), Circuit(n, gates)).amps
+        assert np.array_equal(got_layer, want_layer)
+        assert np.array_equal(got_circuit, want_circuit)
 
 
 class TestPhaseOracle:
