@@ -33,6 +33,7 @@ from .boolfn import TruthTable, TruthTableError, parse_truth_table
 from .oracle_compiler import CircuitParseError, emit_text, synthesis_report
 from .reports import entanglement_survey, enumeration_report
 from .dj_runner import (
+    VERDICT_TOL,
     Mode,
     PromiseViolationError,
     SelfCheckError,
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="decide constant vs balanced in one query")
     _add_truth_args(run)
     run.add_argument("--mode", choices=("refined", "original", "classical"), default="refined")
-    run.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
+    run.add_argument("--tol", type=float, default=VERDICT_TOL, help="verdict tolerance")
     run.add_argument(
         "--shots", type=int, default=0, help="also sample the final distribution this many times"
     )
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         census.add_argument("--out", help="write to this file instead of stdout")
 
     ver = sub.add_parser("verify", help="run the verification suites")
-    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--tol", type=float, default=VERDICT_TOL)
     ver.add_argument("--json", action="store_true", help="emit results as JSON")
     return parser
 

@@ -29,7 +29,6 @@ MAX_EQUIVALENCE_QUBITS = 12
 
 PURITY_TOL = 1e-9
 NORM_GUARD_TOL = 1e-6
-SCHMIDT_CUTOFF = 1e-9
 
 
 @dataclass
@@ -183,23 +182,21 @@ def stacked_diagnostics(amps: np.ndarray) -> list[EntanglementProfile]:
     """Single-qubit reduced purities and cut Schmidt ranks of each state in a (B, 2^n) stack.
 
     For each qubit q each state is reshaped to a 2 x 2^(n-1) matrix M with
-    qubit q on the rows; the reduced density matrix is M M^dagger, its
-    purity Tr(rho^2), and the Schmidt rank across the q-vs-rest cut the
-    number of singular values of M above 1e-9.  Every state must be
-    normalized.
+    qubit q on the rows; the reduced density matrix is M M^dagger and its
+    purity Tr(rho^2).  M has rank 2 unless rho is pure, so the q-vs-rest
+    Schmidt rank is 1 where the purity is within PURITY_TOL of 1 and 2
+    elsewhere, and fully_product holds when every rank is 1.  Every state
+    must be normalized.
     """
     worst = max(np.linalg.norm(amps, axis=-1).tolist(), key=lambda norm: abs(norm - 1.0))
     if abs(worst - 1.0) > NORM_GUARD_TOL:
         raise ValueError(f"state norm {worst:.6f} too far from 1 for diagnostics")
-    purities = []
-    ranks = []
-    for q in range(1, amps.shape[-1].bit_length()):
-        m = _qubit_rows(amps, q)
-        purities.append(_purity(m))
-        ranks.append(np.sum(np.linalg.svd(m, compute_uv=False) > SCHMIDT_CUTOFF, axis=-1))
+    n = amps.shape[-1].bit_length() - 1
+    purities = np.stack([_purity(_qubit_rows(amps, q)) for q in range(1, n + 1)], axis=-1)
+    ranks = np.where(purities >= 1.0 - PURITY_TOL, 1, 2)
     return [
-        EntanglementProfile(tuple(p), tuple(r), all(x >= 1.0 - PURITY_TOL for x in p))
-        for p, r in zip(np.stack(purities, axis=-1).tolist(), np.stack(ranks, axis=-1).tolist())
+        EntanglementProfile(tuple(p), tuple(r), max(r) == 1)
+        for p, r in zip(purities.tolist(), ranks.tolist())
     ]
 
 

@@ -24,6 +24,7 @@ from .boolfn import FunctionClass, all_truth_tables, classify, moebius_transform
 from .oracle_compiler import synthesize
 from .reports import enumeration_report
 from .dj_runner import (
+    VERDICT_TOL,
     SelfCheckError,
     Verdict,
     check_tol,
@@ -132,6 +133,6 @@ def _check_runs(tol: float) -> list[CheckResult]:
     ]
 
 
-def run_verification(tol: float = 1e-9) -> list[CheckResult]:
+def run_verification(tol: float = VERDICT_TOL) -> list[CheckResult]:
     check_tol(tol)
     return [_check_oracle_equivalence(tol), _check_census(), *_check_runs(tol)]

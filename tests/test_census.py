@@ -9,11 +9,13 @@ degree <= 1), which is f(x XOR y) = f(x) XOR f(y) XOR f(0) for all x, y.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
 
+import oracles
 import djphase.dj_runner
 import djphase.reports
 from djphase import (
@@ -123,3 +125,51 @@ def test_total_balanced_is_twice_the_classes():
         weights = [bin(v).count("1") for v in range(1 << (1 << n))]
         assert weights.count(1 << (n - 1)) == total
         assert enumeration_report(n).total_balanced == total
+
+
+@pytest.mark.parametrize("theta, ranks, product", [(1e-6, (1, 1), True), (1e-4, (2, 2), False)])
+def test_rank_follows_the_purity_near_a_product_state(theta, ranks, product):
+    # cos|00> + sin|11>: purity 1 - sin^2(2 theta)/2, second singular value sin(theta).
+    amps = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=np.complex128)
+    profile = entanglement_diagnostics(StateVector(2, amps))
+    assert (profile.schmidt_ranks, profile.fully_product) == (ranks, product)
+
+
+def random_partly_product_state(rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    # A tensor product of random factors on runs of consecutive qubits: a qubit
+    # alone in its run is unentangled, one sharing a run almost surely is not.
+    n = int(rng.integers(1, 9))
+    amps = np.ones(1, dtype=np.complex128)
+    left = n
+    while left:
+        k = int(rng.integers(1, left + 1))
+        factor = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        amps = np.kron(amps, factor / np.linalg.norm(factor))
+        left -= k
+    return n, amps
+
+
+def test_ranks_and_product_agree_with_an_independent_purity():
+    states = [
+        (n, oracles.post_oracle_state(t.values, n))
+        for n in (2, 3, 4)
+        for t in canonical_balanced(n)
+    ]
+    rng = np.random.default_rng(14)
+    states += [random_partly_product_state(rng) for _ in range(400)]
+    ranks_seen = set()
+    for n, amps in states:
+        profile = entanglement_diagnostics(StateVector(n, amps))
+        assert profile.fully_product == all(r == 1 for r in profile.schmidt_ranks)
+        for q, rank in enumerate(profile.schmidt_ranks, start=1):
+            assert (rank == 1) == (oracles.reduced_purity(amps, q, n) >= 1 - 1e-9), (n, q)
+        ranks_seen.update(profile.schmidt_ranks)
+    assert ranks_seen == {1, 2}
+
+
+def test_census_runs_without_svd(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the census called numpy.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    assert entanglement_survey(4).product_classes == 15

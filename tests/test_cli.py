@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -459,6 +460,16 @@ class TestArgHandling:
         assert proc.returncode == 0
         for name in ("synth", "run", "enumerate", "entangle", "verify"):
             assert name in proc.stdout
+
+    def test_default_tol_is_the_runner_verdict_tol(self):
+        parser = build_parser()
+        defaults = [
+            parser.parse_args(["run", "--truth", "0110"]).tol,
+            parser.parse_args(["verify"]).tol,
+            inspect.signature(djphase.verify.run_verification).parameters["tol"].default,
+        ]
+        # The very object, not an equal literal: one default to change.
+        assert all(tol is djphase.dj_runner.VERDICT_TOL for tol in defaults)
 
 
 class TestInternalDefect:

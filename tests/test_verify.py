@@ -48,6 +48,29 @@ def test_census_counts(monkeypatch, field, value, case):
     assert failed_suites() == {"census": f"1 failed; first: {case}"}
 
 
+@pytest.mark.parametrize(
+    "counts,detail",
+    [
+        ({"mcz": 1}, "1 failed; first: 00001111 needs a multi-controlled Z"),
+        # The max-cz check fires as well.
+        ({"cz": 4}, "2 failed; first: 00001111 uses 4 cz gates"),
+    ],
+)
+def test_census_row_gates(monkeypatch, counts, detail):
+    # synthesis_report raises for such a circuit, so only a faked report reaches these checks.
+    def wrong_row(row):
+        if row.report.truth_table.text != "00001111":
+            return row
+        return replace(row, report=replace(row.report, counts=replace(row.report.counts, **counts)))
+
+    def wrong_report(n):
+        report = enumeration_report(n)
+        return replace(report, rows=tuple(wrong_row(row) for row in report.rows))
+
+    monkeypatch.setattr(djphase.verify, "enumeration_report", wrong_report)
+    assert failed_suites() == {"census": detail}
+
+
 def test_formula_value(monkeypatch):
     monkeypatch.setattr(djphase.verify, "zero_amplitude_formula", lambda t: 0.5)
     zero = run_refined(parse_truth_table("00000000")).zero_amplitude
