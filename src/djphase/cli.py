@@ -28,6 +28,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
+
+import numpy as np
 
 from .boolfn import TruthTable, TruthTableError, parse_truth_table
 from .oracle_compiler import CircuitParseError, emit_text, synthesis_report
@@ -118,6 +121,66 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _scalar_texts(values: list) -> list[str]:
+    # One C-encoder call for many scalars; encoded JSON never holds a raw newline.
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n") if values else []
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """json.dumps's text of each float in values, each distinct bit pattern encoded once.
+
+    A probability vector holds few distinct values (squared Walsh coefficients), and
+    float formatting is most of the cost of encoding it.  Keying on the bits keeps
+    -0.0 apart from 0.0; NaN and +-inf encode as json.dumps writes them.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    floats = np.array(distinct, dtype=np.uint64).view(np.float64).tolist()
+    return list(map(dict(zip(distinct, _scalar_texts(floats))).__getitem__, bits))
+
+
+def _block(open_: str, items: list[str], indent: str, close: str) -> str:
+    """A JSON container as json.dumps(indent=2) lays it out, its first line at indent."""
+    if not items:
+        return open_ + close
+    inner = indent + "  "
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
+
+
+def _run_json(payloads: list[dict], single: bool) -> str:
+    """json.dumps(payload, indent=2) + "\n" of run payloads, through the C encoder.
+
+    payload is payloads[0] if single, else the list.  The keys and scalars of
+    every payload take one json.dumps call and all float64 arrays (the
+    probabilities) one _float_texts call; an array-free nested value (the
+    histogram) takes its own json.dumps(indent=2), shifted to its depth.
+    """
+    nested = (np.ndarray, dict, list)
+    scalars, arrays = [], []
+    for p in payloads:
+        for k, v in p.items():
+            scalars += (k,) if isinstance(v, nested) else (k, v)
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+    texts = iter(_scalar_texts(scalars))
+    floats = iter(_float_texts(np.concatenate(arrays)) if arrays else ())
+    indent = "  " if single else "    "
+    blocks = []
+    for p in payloads:
+        items = []
+        for v in p.values():
+            key = next(texts)
+            if isinstance(v, np.ndarray):
+                text = _block("[", list(islice(floats, v.size)), indent, "]")
+            elif isinstance(v, nested):
+                text = json.dumps(v, indent=2).replace("\n", "\n" + indent)
+            else:
+                text = next(texts)
+            items.append(f"{key}: {text}")
+        blocks.append(_block("{", items, indent[:-2], "}"))
+    return (blocks[0] if single else _block("[", blocks, "", "]")) + "\n"
+
+
 def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     tables = _load_tables(args)
     for t in tables:
@@ -153,7 +216,7 @@ def _run_payload(t: TruthTable, args: argparse.Namespace) -> dict:
         "verdict": out.verdict.value,
         "zero_amplitude": out.zero_amplitude,
         "queries_used": out.queries_used,
-        "probabilities": out.final_probabilities.tolist(),
+        "probabilities": out.final_probabilities,
     }
     if out.working_qubit_purity is not None:
         payload["working_qubit_purity"] = out.working_qubit_purity
@@ -175,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
             check_run(t, Mode(args.mode), args.tol)
     payloads = [_run_payload(t, args) for t in tables]
     if args.format == "json":
-        return _json_text(payloads[0] if args.truth is not None else payloads), EXIT_OK
+        return _run_json(payloads, args.truth is not None), EXIT_OK
     # One `key: value` line per field, in payload order; str(float) is repr(float).
     blocks = []
     for payload in payloads:

@@ -118,7 +118,7 @@ def _read_out(
     # The verdict reads one amplitude, so a layer that scales the state could pass
     # for a constant table: the final distribution must first sum to 1.
     total = float(probs.sum())
-    if abs(total - 1.0) > NORM_GUARD_TOL:
+    if not abs(total - 1.0) <= NORM_GUARD_TOL:  # written so that NaN fails
         raise SelfCheckError(f"final probabilities sum to {total:.6f}: a layer is not unitary")
     zero = float(state.amps[index].real)
     return DjOutcome(_decide(zero, tol), zero, probs, 1, mode, state.amps, purity)
@@ -161,7 +161,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     state = apply_hadamard_all(basis_state(t.n + 1, 1))
     _apply_xor_oracle(state, t)
     purity = qubit_purity(state, t.n + 1)
-    if abs(purity - 1.0) > tol:
+    if not abs(purity - 1.0) <= tol:
         raise SelfCheckError(
             f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"
         )

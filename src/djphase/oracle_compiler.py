@@ -123,7 +123,12 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"qubit count must be at least 1, got {self.n}")
-        object.__setattr__(self, "ops", tuple(_stored(self.n, op) for op in self.ops))
+        ops = tuple(self.ops)
+        # Masks alone, as synthesize and parse_text build them, take one C-level check;
+        # anything else goes op by op, which also names the first bad mask.
+        if {*map(type, ops)} - {int} or ops and not 0 < min(ops) <= max(ops) < 1 << self.n:
+            ops = tuple(_stored(self.n, op) for op in ops)
+        object.__setattr__(self, "ops", ops)
 
     @property
     def gates(self) -> tuple[GateOp, ...]:

@@ -142,7 +142,7 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = np.asarray(probs, dtype=np.float64)
     total = float(probs.sum())
-    if abs(total - 1.0) > NORM_GUARD_TOL:
+    if not abs(total - 1.0) <= NORM_GUARD_TOL:  # written so that NaN fails
         raise ValueError(f"probabilities sum to {total:.6f}, too far from 1 to sample")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(probs / total)
@@ -188,8 +188,9 @@ def stacked_diagnostics(amps: np.ndarray) -> list[EntanglementProfile]:
     elsewhere, and fully_product holds when every rank is 1.  Every state
     must be normalized.
     """
-    worst = max(np.linalg.norm(amps, axis=-1).tolist(), key=lambda norm: abs(norm - 1.0))
-    if abs(worst - 1.0) > NORM_GUARD_TOL:
+    norms = np.linalg.norm(amps, axis=-1)
+    worst = float(norms[np.argmax(np.abs(norms - 1.0))])  # argmax picks the first NaN
+    if not abs(worst - 1.0) <= NORM_GUARD_TOL:
         raise ValueError(f"state norm {worst:.6f} too far from 1 for diagnostics")
     n = amps.shape[-1].bit_length() - 1
     purities = np.stack([_purity(_qubit_rows(amps, q)) for q in range(1, n + 1)], axis=-1)

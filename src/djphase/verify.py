@@ -102,7 +102,7 @@ def _check_runs(tol: float) -> list[CheckResult]:
             formula.append(f"table {t.text}: refined run: {exc}")
             continue
         want_zero = zero_amplitude_formula(t)
-        if abs(refined.zero_amplitude - want_zero) > tol:
+        if not abs(refined.zero_amplitude - want_zero) <= tol:
             formula.append(
                 f"table {t.text}: simulated {refined.zero_amplitude!r}, formula {want_zero!r}"
             )

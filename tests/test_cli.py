@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from djphase.cli import MAX_SHOTS, main
@@ -626,3 +627,37 @@ class TestNonUnitaryLayer:
             "[FAIL] census: 1 failed; first: enumeration_report(3) raised: "
             "state norm 1.100000 too far from 1 for diagnostics\n"
         ) in out
+
+
+def nan_layer(state):
+    """A Hadamard layer that also writes one NaN amplitude."""
+    djphase.simulator.apply_hadamard_all(state)
+    state.amps[-1] = float("nan")
+    return state
+
+
+class TestNanState:
+    # A NaN fails every guard's `not abs(x - 1) <= tol`; it must never exit 0 and print
+    # NaN, which is not JSON.
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("run", "--truth", "01101001"), "final probabilities sum to nan"),
+            (("run", "--truth", "01101001", "--shots", "5"), "final probabilities sum to nan"),
+            (("run", "--truth", "0110", "--mode", "original"), "working qubit purity nan"),
+            (("enumerate", "-n", "2", "--format", "json"), "state norm nan too far from 1"),
+            (("entangle", "-n", "2", "--format", "json"), "state norm nan too far from 1"),
+            (("entangle", "-n", "3"), "state norm nan too far from 1"),
+        ],
+    )
+    def test_nan_state_exits_4(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", nan_layer)
+        code, out, stderr = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert stderr.startswith(f"error: {err}")
+
+    def test_one_nan_state_in_a_stack_fails_the_guard(self):
+        amps = np.full((3, 4), 0.5, dtype=np.complex128)
+        amps[1, 2] = np.nan
+        with pytest.raises(ValueError, match="state norm nan"):
+            djphase.simulator.stacked_diagnostics(amps)

@@ -337,3 +337,23 @@ class TestPhaseGateCopies:
 def test_classify_construction_rejects_four_controlled_phases():
     with pytest.raises(ValueError, match="unexpected controlled-phase count 4"):
         classify_construction(Circuit(3, (6, 6, 5, 3)))
+
+
+class TestMaskOnlyCircuit:
+    # A circuit of masks alone takes the bulk check; it must reject what the per-op
+    # check rejects, and store the masks as given.
+    @pytest.mark.parametrize("op", [0, 1 << 3, -1, True, False, 2.0, "z 1"])
+    def test_rejects_bad_op(self, op):
+        with pytest.raises(ValueError, match="neither a gate nor a mask on qubits 1..3"):
+            Circuit(3, (1, 7, op))
+
+    @pytest.mark.parametrize("ops", [(), (1,), (7, 1, 4, 4), [3, 5, 6]])
+    def test_stores_masks_as_given(self, ops):
+        c = Circuit(3, ops)
+        assert c.ops == tuple(ops)
+        assert all(type(op) is int for op in c.ops)
+        assert c == Circuit(3, c.gates)
+
+    def test_names_the_first_bad_mask(self):
+        with pytest.raises(ValueError, match=r"^9 is neither"):
+            Circuit(3, (1, 9, 0))

@@ -360,3 +360,9 @@ class TestEquivalentDiagonal:
         eq = equivalent_diagonal(Circuit(12, c.gates + (PhaseFlip(12),)), t)
         assert not eq.match
         assert eq.max_deviation == 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_counts_rejects_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="too far from 1 to sample"):
+        sample_counts(np.array([0.5, 0.5, bad, 0.0]), shots=10, seed=1)
