@@ -127,13 +127,13 @@ def _scalar_texts(values: list) -> list[str]:
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
-    """json.dumps's text of each float in values, each distinct bit pattern encoded once.
+    """json.dumps's text of each float in a 1-D float64 array, each bit pattern encoded once.
 
     A probability vector holds few distinct values (squared Walsh coefficients), and
     float formatting is most of the cost of encoding it.  Keying on the bits keeps
     -0.0 apart from 0.0; NaN and +-inf encode as json.dumps writes them.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).tolist()
+    bits = values.view(np.uint64).tolist()
     distinct = list(dict.fromkeys(bits))
     floats = np.array(distinct, dtype=np.uint64).view(np.float64).tolist()
     return list(map(dict(zip(distinct, _scalar_texts(floats))).__getitem__, bits))
