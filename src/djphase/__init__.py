@@ -75,68 +75,3 @@ from .verify import CheckResult, run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Anf",
-    "CheckResult",
-    "Circuit",
-    "CircuitParseError",
-    "ClassicalOutcome",
-    "ConstructionType",
-    "ControlledPhase",
-    "DiagonalEquivalence",
-    "DjOutcome",
-    "EntanglementProfile",
-    "EntanglementSurvey",
-    "EnumerationReport",
-    "FunctionClass",
-    "GateCounts",
-    "GateOp",
-    "Hadamard",
-    "Mode",
-    "MultiControlledZ",
-    "PhaseFlip",
-    "PhaseGate",
-    "PromiseViolationError",
-    "SelfCheckError",
-    "StateVector",
-    "SynthesisReport",
-    "TruthTable",
-    "TruthTableError",
-    "Verdict",
-    "all_truth_tables",
-    "amplitude",
-    "anf_to_truth_table",
-    "apply_circuit",
-    "apply_gate",
-    "apply_hadamard_all",
-    "apply_phase_oracle",
-    "basis_state",
-    "canonical",
-    "canonical_balanced",
-    "classical_decide",
-    "classify",
-    "classify_construction",
-    "complement",
-    "degree",
-    "emit_text",
-    "entanglement_diagnostics",
-    "entanglement_profile",
-    "entanglement_survey",
-    "enumerate_balanced",
-    "enumeration_report",
-    "equivalent_diagonal",
-    "gate_counts",
-    "moebius_transform",
-    "parse_text",
-    "parse_truth_table",
-    "probabilities",
-    "qubit_purity",
-    "run_original",
-    "run_refined",
-    "run_verification",
-    "sample",
-    "sample_counts",
-    "synthesis_report",
-    "synthesize",
-    "zero_amplitude_formula",
-]

@@ -40,13 +40,11 @@ from .dj_runner import (
     Mode,
     PromiseViolationError,
     SelfCheckError,
-    check_run,
     check_tol,
     classical_decide,
-    run_original,
-    run_refined,
+    run_tables,
 )
-from .simulator import MAX_QUBITS, sample_counts
+from .simulator import MAX_QUBITS, stacked_counts, stacks
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -122,7 +120,8 @@ def _json_text(payload) -> str:
 
 
 def _scalar_texts(values: list) -> list[str]:
-    # One C-encoder call for many scalars; encoded JSON never holds a raw newline.
+    # One C-encoder call for many scalars; encoded JSON never holds a raw newline, so
+    # each line is one scalar, or one item of a dict of scalars.
     return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n") if values else []
 
 
@@ -150,20 +149,21 @@ def _block(open_: str, items: list[str], indent: str, close: str) -> str:
 def _run_json(payloads: list[dict], single: bool) -> str:
     """json.dumps(payload, indent=2) + "\n" of run payloads, through the C encoder.
 
-    payload is payloads[0] if single, else the list.  The keys and scalars of
-    every payload take one json.dumps call and all float64 arrays (the
-    probabilities) one _float_texts call; an array-free nested value (the
-    histogram) takes its own json.dumps(indent=2), shifted to its depth.
+    payload is payloads[0] if single, else the list.  A value is a scalar, a float64
+    array (the probabilities) or a dict of scalars (the histogram).  The keys,
+    scalars and dicts of every payload take one json.dumps call, which writes each
+    dict item on a line of its own, and all arrays one _float_texts call.
     """
-    nested = (np.ndarray, dict, list)
     scalars, arrays = [], []
     for p in payloads:
         for k, v in p.items():
-            scalars += (k,) if isinstance(v, nested) else (k, v)
             if isinstance(v, np.ndarray):
+                scalars.append(k)
                 arrays.append(v)
-    texts = iter(_scalar_texts(scalars))
+            else:
+                scalars += (k, v)
     floats = iter(_float_texts(np.concatenate(arrays)) if arrays else ())
+    texts = iter(_scalar_texts(scalars))
     indent = "  " if single else "    "
     blocks = []
     for p in payloads:
@@ -172,8 +172,12 @@ def _run_json(payloads: list[dict], single: bool) -> str:
             key = next(texts)
             if isinstance(v, np.ndarray):
                 text = _block("[", list(islice(floats, v.size)), indent, "]")
-            elif isinstance(v, nested):
-                text = json.dumps(v, indent=2).replace("\n", "\n" + indent)
+            elif isinstance(v, dict) and v:
+                # Lines '{"k": v', ..., '"k": v}': one item each, inside the braces.
+                lines = list(islice(texts, len(v)))
+                lines[0] = lines[0][1:]
+                lines[-1] = lines[-1][:-1]
+                text = _block("{", lines, indent, "}")
             else:
                 text = next(texts)
             items.append(f"{key}: {text}")
@@ -199,31 +203,51 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(blocks), EXIT_OK
 
 
-def _run_payload(t: TruthTable, args: argparse.Namespace) -> dict:
+def _histograms(probs: list[np.ndarray], shots: int, seed: int) -> list[dict[str, int]]:
+    """{bits: count} of `shots` draws from each distribution, equal sizes as one stack."""
+    out: list = [None] * len(probs)
+    for rows in stacks([p.size for p in probs]):
+        counts = stacked_counts(np.array([probs[i] for i in rows]), shots, seed)
+        width = counts.shape[1].bit_length() - 1
+        # Every observed outcome in row-major order; each distinct one is formatted once.
+        row_of, seen = np.nonzero(counts)
+        values = counts[row_of, seen].tolist()
+        seen = seen.tolist()
+        labels = {k: format(k, f"0{width}b") for k in set(seen)}
+        keys = list(map(labels.__getitem__, seen))
+        start = 0
+        for i, end in zip(rows, np.bincount(row_of, minlength=len(rows)).cumsum().tolist()):
+            out[i] = dict(zip(keys[start:end], values[start:end]))
+            start = end
+    return out
+
+
+def _run_payloads(tables: list[TruthTable], args: argparse.Namespace) -> list[dict]:
     if args.mode == "classical":
-        out = classical_decide(t)
-        return {
+        return [
+            {"truth_table": t.text, "mode": "classical", "verdict": out.verdict.value,
+             "queries_used": out.queries_used}
+            for t, out in zip(tables, map(classical_decide, tables))
+        ]
+    outcomes = run_tables(tables, Mode(args.mode), tol=args.tol)
+    payloads = []
+    for t, out in zip(tables, outcomes):
+        payload = {
             "truth_table": t.text,
-            "mode": "classical",
+            "mode": out.mode.value,
             "verdict": out.verdict.value,
+            "zero_amplitude": out.zero_amplitude,
             "queries_used": out.queries_used,
+            "probabilities": out.final_probabilities,
         }
-    runner = run_refined if args.mode == "refined" else run_original
-    out = runner(t, tol=args.tol)
-    payload = {
-        "truth_table": t.text,
-        "mode": out.mode.value,
-        "verdict": out.verdict.value,
-        "zero_amplitude": out.zero_amplitude,
-        "queries_used": out.queries_used,
-        "probabilities": out.final_probabilities,
-    }
-    if out.working_qubit_purity is not None:
-        payload["working_qubit_purity"] = out.working_qubit_purity
+        if out.working_qubit_purity is not None:
+            payload["working_qubit_purity"] = out.working_qubit_purity
+        payloads.append(payload)
     if args.shots:
-        counts = sample_counts(out.final_probabilities, args.shots, args.seed)
-        payload["histogram"] = {format(i, f"0{t.n}b"): c for i, c in counts.items()}
-    return payload
+        probs = [out.final_probabilities for out in outcomes]
+        for payload, hist in zip(payloads, _histograms(probs, args.shots, args.seed)):
+            payload["histogram"] = hist
+    return payloads
 
 
 def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
@@ -232,11 +256,7 @@ def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"--shots must satisfy 0 <= shots <= {MAX_SHOTS}, got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    tables = _load_tables(args)
-    if args.mode != "classical":  # a classical run is little more than its promise check
-        for t in tables:
-            check_run(t, Mode(args.mode), args.tol)
-    payloads = [_run_payload(t, args) for t in tables]
+    payloads = _run_payloads(_load_tables(args), args)
     if args.format == "json":
         return _run_json(payloads, args.truth is not None), EXIT_OK
     # One `key: value` line per field, in payload order; str(float) is repr(float).

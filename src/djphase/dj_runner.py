@@ -4,6 +4,9 @@ Two quantum variants share one prologue, `check_run`, and one read-out:
 once the final probabilities sum to 1, the all-zeros amplitude after the
 final Hadamard layer decides: magnitude 1 means constant (the sign
 telling constant-0 from constant-1), magnitude 0 means balanced.
+`run_tables` runs a list of tables as (B, 2^n) stacks, one per n (split at
+MAX_STACK_AMPLITUDES), each row with the arithmetic of its table run
+alone; `run_refined(t)` and `run_original(t)` are its stack of one.
 
 * refined: n qubits, the oracle is a diagonal phase circuit synthesized
   from the function's ANF.
@@ -30,7 +33,7 @@ from .simulator import (
     NORM_GUARD_TOL,
     EntanglementProfile,
     StateVector,
-    apply_circuit,
+    apply_circuits,
     apply_hadamard_all,
     apply_phase_oracle,
     basis_state,
@@ -38,6 +41,7 @@ from .simulator import (
     probabilities,
     qubit_purity,
     stacked_diagnostics,
+    stacks,
 )
 
 VERDICT_TOL = 1e-9
@@ -90,16 +94,6 @@ def _check_promise(t: TruthTable) -> FunctionClass:
     return kind
 
 
-def _decide(zero: float, tol: float) -> Verdict:
-    if abs(zero) >= 1.0 - tol:
-        return Verdict.CONSTANT
-    if abs(zero) <= tol:
-        return Verdict.BALANCED
-    raise SelfCheckError(
-        f"zero amplitude {zero!r} is neither near 0 nor near +-1; bad oracle?"
-    )
-
-
 def check_run(t: TruthTable, mode: Mode, tol: float) -> None:
     """The checks a quantum run makes before any work: tol range, size limit, promise."""
     check_tol(tol)
@@ -112,42 +106,98 @@ def check_run(t: TruthTable, mode: Mode, tol: float) -> None:
     _check_promise(t)
 
 
-def _read_out(
-    state: StateVector, index: int, probs: np.ndarray, mode: Mode, purity: float | None, tol: float
-) -> DjOutcome:
+def _read_out(total: float, zero: float, purity: float | None, tol: float) -> Verdict:
     # The verdict reads one amplitude, so a layer that scales the state could pass
-    # for a constant table: the final distribution must first sum to 1.
-    total = float(probs.sum())
+    # for a constant table: the final distribution must first sum to 1.  The working
+    # qubit is checked before both, as a run checks it right after the oracle.
+    if purity is not None and not abs(purity - 1.0) <= tol:
+        raise SelfCheckError(
+            f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"
+        )
     if not abs(total - 1.0) <= NORM_GUARD_TOL:  # written so that NaN fails
         raise SelfCheckError(f"final probabilities sum to {total:.6f}: a layer is not unitary")
-    zero = float(state.amps[index].real)
-    return DjOutcome(_decide(zero, tol), zero, probs, 1, mode, state.amps, purity)
+    if abs(zero) >= 1.0 - tol:
+        return Verdict.CONSTANT
+    if abs(zero) <= tol:
+        return Verdict.BALANCED
+    raise SelfCheckError(f"zero amplitude {zero!r} is neither near 0 nor near +-1; bad oracle?")
+
+
+def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, None]:
+    """One oracle query on n qubits per row, each with its table's synthesized circuit."""
+    anfs = [moebius_transform(t) for t in tables]
+    state = apply_hadamard_all(basis_state(tables[0].n, 0, rows=len(tables)))
+    apply_circuits(state, [synthesize(a) for a in anfs])
+    apply_hadamard_all(state)
+    # The synthesized circuit omits the constant-1 monomial; restore its global -1
+    # so the zero amplitude carries the right sign.
+    flip = [a.has_constant_term for a in anfs]
+    if any(flip):
+        np.negative(state.amps, out=state.amps, where=np.array(flip)[:, None])
+    return state, probabilities(state), None
+
+
+def _apply_xor_oracle(state: StateVector, bits: bytes) -> StateVector:
+    # |x>|y> -> |x>|y XOR f(x)>: swap the working-qubit pair on every row where f is 1.
+    # The working qubit is the last axis, so the rows of the (-1, 2) view are each
+    # state's inputs x in turn, as `bits` joins the stack's tables.
+    view = state.amps.reshape(-1, 2)
+    mask = np.frombuffer(bits, dtype=bool)
+    view[mask] = view[mask][:, ::-1]
+    return state
+
+
+def _run_original_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
+    """H^(n+1) . XOR oracle . H^(n+1) on |0...0>|1> per row, with each working qubit's
+    purity right after the oracle."""
+    n, rows = tables[0].n, len(tables)
+    state = apply_hadamard_all(basis_state(n + 1, 1, rows=rows))
+    _apply_xor_oracle(state, b"".join(t.bits for t in tables))
+    purities = qubit_purity(state, n + 1).tolist()
+    apply_hadamard_all(state)
+    # The working qubit is back in |1>, so the query-register amplitudes are the odd
+    # entries.
+    marginal = probabilities(state).reshape(rows, -1, 2).sum(axis=-1)
+    return state, marginal, purities
+
+
+def run_tables(
+    tables: list[TruthTable], mode: Mode, tol: float = VERDICT_TOL
+) -> list[DjOutcome]:
+    """The run of each table in `mode`, in order, after check_run on every one.
+
+    Tables of one n run as one (B, 2^n) stack (B * 2^qubits <= MAX_STACK_AMPLITUDES,
+    a wider table alone) with the arithmetic of one state per row, so each outcome
+    equals its table's run alone bit for bit.  If any row fails a self-check, the
+    SelfCheckError of the first such table in order is raised.
+    """
+    for t in tables:
+        check_run(t, mode, tol)
+    original = mode == Mode.ORIGINAL
+    run_stack = _run_original_stack if original else _run_refined_stack
+    outcomes: list = [None] * len(tables)
+    for rows in stacks([1 << (t.n + original) for t in tables]):
+        state, probs, purities = run_stack([tables[i] for i in rows])
+        # An original run's working qubit ends in |1>: its zero amplitude is entry 1.
+        zeros = state.amps[:, int(original)].real.tolist()
+        totals = probs.sum(axis=-1).tolist()
+        for k, i in enumerate(rows):
+            purity = None if purities is None else purities[k]
+            try:
+                verdict = _read_out(totals[k], zeros[k], purity, tol)
+            except SelfCheckError as exc:
+                outcomes[i] = exc
+                continue
+            outcomes[i] = DjOutcome(verdict, zeros[k], probs[k], 1, mode, state.amps[k], purity)
+    for out in outcomes:
+        if isinstance(out, SelfCheckError):
+            raise out
+    return outcomes
 
 
 def run_refined(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     """One oracle query on n qubits using the synthesized phase circuit."""
-    check_run(t, Mode.REFINED, tol)
-    anf = moebius_transform(t)
-    circuit = synthesize(anf)
-    state = basis_state(t.n, 0)
-    apply_hadamard_all(state)
-    apply_circuit(state, circuit)
-    apply_hadamard_all(state)
-    if anf.has_constant_term:
-        # The synthesized circuit omits the constant-1 monomial; restore
-        # its global -1 so the zero amplitude carries the right sign.
-        state.amps *= -1.0
-    return _read_out(state, 0, probabilities(state), Mode.REFINED, None, tol)
-
-
-def _apply_xor_oracle(state: StateVector, t: TruthTable) -> StateVector:
-    # |x>|y> -> |x>|y XOR f(x)>: swap the working-qubit pair on every row
-    # where f is 1.  The working qubit is the last axis, so rows of the
-    # (2^n, 2) view are indexed by x directly.
-    view = state.amps.reshape(-1, 2)
-    mask = np.frombuffer(t.bits, dtype=bool)
-    view[mask] = view[mask][:, ::-1]
-    return state
+    return run_tables([t], Mode.REFINED, tol)[0]
 
 
 def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
@@ -157,19 +207,7 @@ def run_original(t: TruthTable, tol: float = VERDICT_TOL) -> DjOutcome:
     tol) right after the oracle; the query register distribution is then
     read off the final state.
     """
-    check_run(t, Mode.ORIGINAL, tol)
-    state = apply_hadamard_all(basis_state(t.n + 1, 1))
-    _apply_xor_oracle(state, t)
-    purity = qubit_purity(state, t.n + 1)
-    if not abs(purity - 1.0) <= tol:
-        raise SelfCheckError(
-            f"working qubit purity {purity!r} drifted from 1; oracle not phase-kickback"
-        )
-    apply_hadamard_all(state)
-    # The working qubit is back in |1>, so the query-register amplitudes
-    # are the odd entries.
-    marginal = probabilities(state).reshape(-1, 2).sum(axis=1)
-    return _read_out(state, 1, marginal, Mode.ORIGINAL, purity, tol)
+    return run_tables([t], Mode.ORIGINAL, tol)[0]
 
 
 def zero_amplitude_formula(t: TruthTable) -> float:

@@ -1,21 +1,24 @@
 """Dense statevector simulation for diagonal-plus-Hadamard circuits.
 
 Amplitudes live in a flat complex array of length 2^n, basis states
-indexed big-endian (qubit 1 is the most significant bit).  Qubits map to
-array axes through one view and no axis permutation: qubit q is the
-middle axis of amps.reshape(..., 2^(q-1), 2, -1), behind both the Hadamard
-butterfly and every one-qubit purity, of one state or of a (B, 2^n) stack;
-phase gates index the (2,) * n reshape in apply_gate.  apply_circuit runs
-each block of consecutive phase-gate masks in Circuit.ops as one diagonal
-multiply, built by numpy code of its own.  The array is mutated in place,
-never through matrices; the equivalence check runs once on a real 2n-qubit
-identity state.
+indexed big-endian (qubit 1 is the most significant bit), or in a (B, 2^n)
+stack of such states, one per row, which every layer treats row by row with
+the arithmetic of one state.  Qubits map to array axes through one view and
+no axis permutation: qubit q is the middle axis of
+amps.reshape(..., 2^(q-1), 2, -1), behind both the Hadamard butterfly and
+every one-qubit purity; phase gates index the (2,) * n reshape in
+apply_gate.  apply_circuit runs each block of consecutive phase-gate masks
+in Circuit.ops as one diagonal multiply, and apply_circuits gives each row
+of a stack its own circuit's diagonal, both built by numpy code of their
+own.  The array is mutated in place, never through matrices; the
+equivalence check runs once on a real 2n-qubit identity state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +33,10 @@ MAX_EQUIVALENCE_QUBITS = 12
 PURITY_TOL = 1e-9
 NORM_GUARD_TOL = 1e-6
 
+# Entries of one stack: a stack of the four n=16 states of a file ran slower than
+# one state at a time, so a table this wide runs alone.
+MAX_STACK_AMPLITUDES = 1 << 16
+
 
 @dataclass
 class StateVector:
@@ -37,16 +44,29 @@ class StateVector:
     amps: np.ndarray
 
 
-def basis_state(n: int, index: int = 0) -> StateVector:
-    """|index> on n qubits; n is capped at 20 to bound memory."""
+def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
+    """|index> on n qubits, or a (rows, 2^n) stack of it; n is capped at 20 to bound memory."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     dim = 1 << n
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside 0..{dim - 1}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
+    amps = np.zeros(dim if rows is None else (rows, dim), dtype=np.complex128)
+    amps[..., index] = 1.0
     return StateVector(n, amps)
+
+
+def stacks(widths: list[int]) -> list[list[int]]:
+    """Positions of equal widths, grouped in first-seen order, split into stacks of at
+    most MAX_STACK_AMPLITUDES entries (a wider one alone)."""
+    groups: dict[int, list[int]] = {}
+    for i, width in enumerate(widths):
+        groups.setdefault(width, []).append(i)
+    out = []
+    for width, rows in groups.items():
+        step = max(1, MAX_STACK_AMPLITUDES // width)
+        out += [rows[i : i + step] for i in range(0, len(rows), step)]
+    return out
 
 
 def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:
@@ -55,9 +75,8 @@ def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:
 
 def _hadamard(amps: np.ndarray, q: int) -> None:
     v = _qubit_view(amps, q)
-    lo = v[:, 0].copy()
-    v[:, 0] = (lo + v[:, 1]) * _INV_SQRT2
-    v[:, 1] = (lo - v[:, 1]) * _INV_SQRT2
+    lo, hi = v[..., 0, :], v[..., 1, :]
+    lo[...], hi[...] = (lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -74,17 +93,19 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
-def _apply_phase_block(state: StateVector, n: int, masks: list[int]) -> None:
-    # Gate masks -> count of each mask mod 2 -> at each index, the XOR of the
-    # masks it contains (one pass per axis): the block's diagonal is
-    # (-1)^parity on qubits 1..n, the most significant bits of the state.
-    if not masks:
+def _apply_phase_block(amps: np.ndarray, n: int, index, rows: int = 1) -> None:
+    # index holds row * 2^n + mask for each gate -> count of each mod 2 -> at each
+    # basis index, the XOR of the row's masks it contains (one pass per axis): row r's
+    # diagonal is (-1)^parity on qubits 1..n, the most significant bits of its state.
+    # rows=1 gives every state of amps the one diagonal.
+    if not len(index):
         return
-    parity = np.bincount(masks, minlength=1 << n) & 1
+    parity = np.bincount(index, minlength=rows << n) & 1
     for q in range(1, n + 1):
-        v = parity.reshape(1 << (q - 1), 2, -1)
+        v = parity.reshape(-1, 2, 1 << (n - q))
         v[:, 1] ^= v[:, 0]
-    state.amps.reshape(1 << n, -1)[...] *= (1.0 - 2.0 * parity)[:, None]
+    sign = (1.0 - 2.0 * parity).reshape(rows, 1 << n, 1)
+    amps.reshape(-1, 1 << n, amps.shape[-1] >> n)[...] *= sign
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -99,12 +120,40 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     masks: list[int] = []
     for op in circuit.ops:
         if isinstance(op, Hadamard):
-            _apply_phase_block(state, circuit.n, masks)
+            _apply_phase_block(state.amps, circuit.n, masks)
             masks = []
             _hadamard(state.amps, op.qubit)
         else:
             masks.append(op)
-    _apply_phase_block(state, circuit.n, masks)
+    _apply_phase_block(state.amps, circuit.n, masks)
+    return state
+
+
+def apply_circuits(state: StateVector, circuits: list[Circuit]) -> StateVector:
+    """Apply circuits[r] to row r of a (B, 2^n) stack, each circuit on all n qubits.
+
+    The phase gates before each circuit's first Hadamard are one diagonal for the
+    whole stack; the rest of such a circuit runs on its row through apply_circuit.
+    """
+    if state.amps.ndim != 2 or len(circuits) != state.amps.shape[0]:
+        raise ValueError(f"{len(circuits)} circuits for a stack of shape {state.amps.shape}")
+    n = state.n
+    heads, rest = [], []
+    for row, c in enumerate(circuits):
+        if c.n != n:
+            raise ValueError(f"circuit {row} on {c.n} qubits, stack on {n}")
+        cut = len(c.ops)
+        if {*map(type, c.ops)} - {int}:
+            cut = next(i for i, op in enumerate(c.ops) if type(op) is not int)
+            rest.append((row, Circuit(n, c.ops[cut:])))
+        heads.append(c.ops[:cut])
+    sizes = list(map(len, heads))
+    index = np.fromiter(chain.from_iterable(heads), np.int64, sum(sizes))
+    if len(heads) > 1:  # row r's masks index its own 2^n entries; row 0's need no shift
+        index += np.repeat(np.arange(len(heads), dtype=np.int64) << n, sizes)
+    _apply_phase_block(state.amps, n, index, len(circuits))
+    for row, c in rest:
+        apply_circuit(StateVector(n, state.amps[row]), c)
     return state
 
 
@@ -132,24 +181,34 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
-def sample_counts(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
-    """Draw `shots` outcomes from a probability vector; {index: count}.
+def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of `shots` outcomes drawn from each row of a (B, D) stack of distributions.
 
-    Deterministic for a fixed seed.  Only observed outcomes appear, keys
-    ascending.
+    Every row takes the same draws u, the seed's first `shots` uniforms, sorted once:
+    index k counts the draws in [cdf[k-1], cdf[k]), the last index takes the rest.
+    That is the index searchsorted(cdf, u, "right") gives each draw, clamped to D-1,
+    with cdf the row's cumsum over its sum.  Deterministic for a fixed seed.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = np.asarray(probs, dtype=np.float64)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= NORM_GUARD_TOL:  # written so that NaN fails
+    totals = probs.sum(axis=-1, keepdims=True)
+    bad = ~(np.abs(totals - 1.0) <= NORM_GUARD_TOL)  # written so that NaN fails
+    if bad.any():
+        total = float(totals[bad][0])
         raise ValueError(f"probabilities sum to {total:.6f}, too far from 1 to sample")
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(probs / total)
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    draws = np.minimum(draws, probs.size - 1)
-    outcomes, counts = np.unique(draws, return_counts=True)
-    return {int(o): int(c) for o, c in zip(outcomes, counts)}
+    u = np.sort(np.random.default_rng(seed).random(shots))
+    below = np.searchsorted(u, np.cumsum(probs / totals, axis=-1))
+    below[..., -1] = shots
+    return np.diff(below, axis=-1, prepend=0)
+
+
+def sample_counts(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
+    """stacked_counts of one probability vector as {index: count}, observed outcomes only,
+    keys ascending."""
+    counts = stacked_counts(np.asarray(probs)[None], shots, seed)[0]
+    seen = np.flatnonzero(counts)
+    return dict(zip(seen.tolist(), counts[seen].tolist()))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
@@ -173,9 +232,11 @@ def _purity(m: np.ndarray) -> np.ndarray:
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
-def qubit_purity(state: StateVector, q: int) -> float:
-    """Tr(rho^2) of qubit q alone: rho = M M^dagger, M has qubit q on its 2 rows."""
-    return float(_purity(_qubit_rows(state.amps, q)))
+def qubit_purity(state: StateVector, q: int) -> float | np.ndarray:
+    """Tr(rho^2) of qubit q alone, or an array of one per row of a stack:
+    rho = M M^dagger, M has qubit q on its 2 rows."""
+    purity = _purity(_qubit_rows(state.amps, q))
+    return purity if purity.ndim else float(purity)
 
 
 def stacked_diagnostics(amps: np.ndarray) -> list[EntanglementProfile]:

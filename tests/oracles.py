@@ -120,3 +120,17 @@ def post_oracle_state(values, n: int) -> np.ndarray:
     """The uniform superposition with signs (-1)^f(x), built directly."""
     dim = 1 << n
     return np.array([(-1.0) ** values[x] for x in range(dim)], dtype=complex) / np.sqrt(dim)
+
+
+def sample_counts_per_draw(probs, shots: int, seed: int) -> dict[int, int]:
+    """{index: count} of `shots` draws, each placed on its own in the cumulative sum.
+
+    A draw u lands on the first index whose cumulative probability exceeds it
+    (searchsorted "right"), clamped to the last index; the same `shots` uniforms
+    of the seed as the package's sampler, taken unsorted.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = np.cumsum(probs / float(probs.sum()))
+    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    outcomes, counts = np.unique(np.minimum(draws, probs.size - 1), return_counts=True)
+    return {int(o): int(c) for o, c in zip(outcomes, counts)}

@@ -570,21 +570,24 @@ class TestRunChecksEveryTableFirst:
     def test_no_run_before_a_bad_table(
         self, capsys, monkeypatch, tmp_path, mode, second, code, err
     ):
+        # Every run starts with a Hadamard layer on its stack of states; record them.
         calls = []
-        for name in ("run_refined", "run_original"):
-            runner = getattr(djphase.cli, name)
-            monkeypatch.setattr(
-                djphase.cli, name, lambda t, tol, runner=runner: calls.append(t) or runner(t, tol)
-            )
+        layer = djphase.dj_runner.apply_hadamard_all
+        monkeypatch.setattr(
+            djphase.dj_runner, "apply_hadamard_all",
+            lambda state: calls.append(state.amps.shape) or layer(state),
+        )
         path = tmp_path / "tables.txt"
         path.write_text(f"01101001\n{second}\n", encoding="utf-8")
         got, out, stderr = run_cli(capsys, "run", "--mode", mode, "--truth-file", str(path))
         assert (got, out, calls) == (code, "", [])
         assert stderr.startswith(f"error: {err}")
-        # The counting runners are the ones the command calls.
-        path.write_text("01101001\n0110\n", encoding="utf-8")
+        # The recorded layers are the ones the command runs: two per stack, one stack
+        # per n, the working qubit doubling an original run's states.
+        path.write_text("01101001\n0110\n01011010\n", encoding="utf-8")
         assert run_cli(capsys, "run", "--mode", mode, "--truth-file", str(path))[0] == 0
-        assert [t.text for t in calls] == ["01101001", "0110"]
+        wide = mode == "original"
+        assert calls == [(2, 8 << wide)] * 2 + [(1, 4 << wide)] * 2
 
 
 def scaled_layer(state):

@@ -2,7 +2,9 @@
 
 The reference is `json.dumps(payload, indent=2)` on the payload with each
 probability array turned into a list by `.tolist()`: CPython's pure-Python
-encoder, which shares no code with the run writer's C-encoder calls.
+encoder, which shares no code with the run writer's C-encoder calls.  The
+command's payloads are rebuilt one table at a time from `run_refined` or
+`run_original` and the per-draw sampler of `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from djphase import cli
+import oracles
+from djphase import cli, run_original, run_refined
 from djphase.boolfn import parse_truth_table
 
 
@@ -54,13 +57,10 @@ def arrays(draw):
     return np.array(values, dtype=np.float64)
 
 
-nested = st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
-    max_leaves=8,
-).filter(lambda v: isinstance(v, (list, dict)))
+# The writer's one nested value is a dict of scalars under str keys (the histogram).
+flat_dicts = st.dictionaries(text, scalars, max_size=3)
 histograms = st.dictionaries(st.text(alphabet="01", min_size=3, max_size=3), st.integers(1, 99))
-payloads = st.dictionaries(text, scalars | arrays() | nested | histograms, max_size=6)
+payloads = st.dictionaries(text, scalars | arrays() | flat_dicts | histograms, max_size=6)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -108,8 +108,25 @@ def _sparse(n: int) -> str:
 
 
 def _expected(tables: list[str], mode: str, shots: int, single: bool) -> str:
-    args = argparse.Namespace(mode=mode, tol=1e-9, shots=shots, seed=3)
-    rows = [cli._run_payload(parse_truth_table(t), args) for t in tables]
+    runner = run_refined if mode == "refined" else run_original
+    rows = []
+    for text in tables:
+        t = parse_truth_table(text)
+        out = runner(t, tol=1e-9)
+        row = {
+            "truth_table": t.text,
+            "mode": mode,
+            "verdict": out.verdict.value,
+            "zero_amplitude": out.zero_amplitude,
+            "queries_used": 1,
+            "probabilities": out.final_probabilities,
+        }
+        if mode == "original":
+            row["working_qubit_purity"] = out.working_qubit_purity
+        if shots:
+            counts = oracles.sample_counts_per_draw(out.final_probabilities, shots, 3)
+            row["histogram"] = {format(i, f"0{t.n}b"): c for i, c in counts.items()}
+        rows.append(row)
     return reference(rows, single)
 
 
@@ -132,3 +149,12 @@ def test_truth_file_run(capsys, tmp_path, mode, shots):
     argv = ["run", "--truth-file", str(path), "--mode", mode, "--format", "json"]
     assert cli.main(argv + ["--shots", str(shots), "--seed", "3"]) == 0
     assert capsys.readouterr().out == _expected(tables, mode, shots, False)
+
+
+@pytest.mark.parametrize("mode", ["refined", "original"])
+@pytest.mark.parametrize("table", ["0110", _balanced(6, 5), _sparse(12)], ids=["n2", "n6", "n12"])
+def test_single_table_run_with_histogram(capsys, mode, table):
+    argv = ["run", "--truth", table, "--mode", mode, "--format", "json", "--shots", "500"]
+    assert cli.main(argv + ["--seed", "3"]) == 0
+    assert capsys.readouterr().out == _expected([table], mode, 500, True)
+

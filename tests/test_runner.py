@@ -255,10 +255,10 @@ class TestEntanglementProfile:
 
 
 
-def hadamard_where_f_is_1(state, t):
+def hadamard_where_f_is_1(state, bits):
     """Not an XOR oracle: a Hadamard on the working qubit of every row where f is 1."""
     view = state.amps.reshape(-1, 2)
-    rows = np.frombuffer(t.bits, dtype=bool)
+    rows = np.frombuffer(bits, dtype=bool)
     lo, hi = view[rows, 0], view[rows, 1]
     view[rows, 0], view[rows, 1] = (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
     return state

@@ -366,3 +366,152 @@ class TestEquivalentDiagonal:
 def test_sample_counts_rejects_non_finite_probabilities(bad):
     with pytest.raises(ValueError, match="too far from 1 to sample"):
         sample_counts(np.array([0.5, 0.5, bad, 0.0]), shots=10, seed=1)
+
+
+def _bits(a) -> np.ndarray:
+    """Each float's (or complex part's) bit pattern: -0.0 and 0.0 differ, as in JSON."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_stack(n: int, rows: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hadamard_layer_acts_row_by_row(self, n):
+        stack = _random_stack(n, 5, n)
+        got = apply_hadamard_all(StateVector(n, stack.copy())).amps
+        for row, amps in zip(got, stack):
+            want = apply_hadamard_all(StateVector(n, amps.copy())).amps
+            assert np.array_equal(_bits(row), _bits(want))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_phase_diagonal_acts_row_by_row(self, n):
+        rng = random.Random(n)
+        size = 1 << n
+        circuits = [Circuit(n, rng.sample(range(1, size), rng.randint(0, size - 1))) for _ in range(6)]
+        circuits.append(Circuit(n, [1, Hadamard(n), size - 1]))  # a Hadamard ends the diagonal
+        stack = _random_stack(n, len(circuits), 100 + n)
+        got = djphase.simulator.apply_circuits(StateVector(n, stack.copy()), circuits).amps
+        for row, amps, c in zip(got, stack, circuits):
+            want = apply_circuit(StateVector(n, amps.copy()), c).amps
+            assert np.array_equal(_bits(row), _bits(want)), c
+
+    def test_apply_circuits_rejects_a_mismatch(self):
+        stack = StateVector(3, np.zeros((2, 8), dtype=np.complex128))
+        with pytest.raises(ValueError, match="2 circuits"):
+            djphase.simulator.apply_circuits(StateVector(3, stack.amps[0]), [Circuit(3, [1])] * 2)
+        with pytest.raises(ValueError, match="circuit 1 on 2 qubits"):
+            djphase.simulator.apply_circuits(stack, [Circuit(3, [1]), Circuit(2, [1])])
+
+    def test_basis_stack(self):
+        state = basis_state(2, 3, rows=3)
+        assert state.amps.shape == (3, 4)
+        assert np.array_equal(state.amps, np.tile([0, 0, 0, 1], (3, 1)))
+
+    def test_stacks_group_by_width_in_first_seen_order(self):
+        cap = djphase.simulator.MAX_STACK_AMPLITUDES
+        widths = [8, 4, 8, cap, 4, cap, 2 * cap, 8]
+        assert djphase.simulator.stacks(widths) == [[0, 2, 7], [1, 4], [3], [5], [6]]
+        assert djphase.simulator.stacks([cap // 4] * 9) == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
+
+    @pytest.mark.parametrize("exponent", range(1, 17))
+    def test_row_sums_and_cumsums_match_one_state(self, exponent):
+        # Histograms and the norm guard read stacked sums; they must be the 1-D bits.
+        width = 1 << exponent
+        rows = max(2, min(64, (1 << 17) // width))
+        probs = np.abs(_random_stack(exponent, rows, exponent)) ** 2
+        probs[:, ::3] = 0.0
+        probs /= probs.sum(axis=-1, keepdims=True)
+        totals = probs.sum(axis=-1)
+        cdfs = np.cumsum(probs / totals[:, None], axis=-1)
+        pairs = probs.reshape(rows, -1, 2).sum(axis=-1) if width > 2 else None
+        for k, row in enumerate(probs):
+            assert _bits(totals[k]) == _bits(row.sum())
+            assert np.array_equal(_bits(cdfs[k]), _bits(np.cumsum(row / float(row.sum()))))
+            if pairs is not None:
+                assert np.array_equal(_bits(pairs[k]), _bits(row.reshape(-1, 2).sum(axis=1)))
+
+    def test_stacked_purity_matches_one_state(self):
+        for n in range(2, 9):
+            stack = _random_stack(n, 7, 200 + n)
+            for q in (1, n):
+                got = qubit_purity(StateVector(n, stack), q)
+                for k, amps in enumerate(stack):
+                    want = qubit_purity(StateVector(n, amps), q)
+                    assert _bits(got[k]) == _bits(want), (n, q, k)
+
+
+def _distribution(n: int, rng: np.random.Generator, zeros: float) -> np.ndarray:
+    probs = rng.random(1 << n)
+    probs[rng.random(1 << n) < zeros] = 0.0
+    if not probs.any():
+        probs[rng.integers(1 << n)] = 1.0
+    return probs / probs.sum()
+
+
+class TestSortedDraws:
+    def test_matches_per_draw_reference(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 7):
+            for shots in range(1, 200, 3):
+                for zeros in (0.0, 0.5, 0.9):
+                    probs = _distribution(n, rng, zeros)
+                    seed = int(rng.integers(1 << 31))
+                    want = oracles.sample_counts_per_draw(probs, shots, seed)
+                    assert sample_counts(probs, shots, seed) == want, (n, shots, zeros)
+
+    def test_edge_distributions(self):
+        cases = [
+            [1.0, 0.0], [0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3, 0.0],
+        ]
+        for probs in cases:
+            for shots in (1, 2, 50, 199):
+                for seed in range(5):
+                    want = oracles.sample_counts_per_draw(probs, shots, seed)
+                    assert sample_counts(np.array(probs), shots, seed) == want, probs
+
+    def test_draws_on_a_cumulative_sum_and_above_the_last(self, monkeypatch):
+        # Ten 0.1s: the cumsum passes 0.30000000000000004 and ends at 1 - 2^-53, the
+        # largest draw there is.  A draw equal to a cumulative sum belongs to the next
+        # index; one at or above the last sum is clamped to the last index.
+        probs = np.full(10, 0.1)
+        cdf = np.cumsum(probs / float(probs.sum()))
+        draws = [cdf[2], cdf[-1], 0.0, cdf[2], 0.05, np.nextafter(cdf[-1], 0.0)]
+
+        class Draws:
+            def __init__(self, seed):
+                pass
+
+            def random(self, shots):
+                return np.array(draws[:shots])
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        for shots in range(1, len(draws) + 1):
+            want = oracles.sample_counts_per_draw(probs, shots, 0)
+            assert sample_counts(probs, shots, 0) == want, shots
+        assert want == {0: 2, 3: 2, 9: 2}
+
+    def test_a_million_shots_at_n16(self):
+        probs = _distribution(16, np.random.default_rng(16), 0.5)
+        want = oracles.sample_counts_per_draw(probs, 10**6, 5)
+        assert sample_counts(probs, 10**6, 5) == want
+
+    def test_each_row_of_a_stack_is_its_own_sample(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 6):
+            stack = np.array([_distribution(n, rng, 0.3) for _ in range(9)])
+            counts = djphase.simulator.stacked_counts(stack, 77, 4)
+            assert counts.shape == stack.shape
+            for row, probs in zip(counts, stack):
+                seen = np.flatnonzero(row)
+                want = oracles.sample_counts_per_draw(probs, 77, 4)
+                assert dict(zip(seen.tolist(), row[seen].tolist())) == want
+
+    def test_a_bad_row_names_the_first_bad_sum(self):
+        stack = np.array([[0.5, 0.5], [0.5, 0.7], [0.1, 0.1]])
+        with pytest.raises(ValueError, match="sum to 1.200000, too far from 1"):
+            djphase.simulator.stacked_counts(stack, 10, 1)
