@@ -11,10 +11,13 @@ term).  The binary Moebius transform, its own inverse, links the two buffers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from functools import cache, cached_property
+from itertools import compress, repeat
+from operator import add, and_, rshift
 
 _DIGITS = bytes.maketrans(b"01" + b"\0\1", b"\0\1" + b"01")  # "0"/"1" <-> 0/1, both ways
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -103,8 +106,11 @@ class Anf:
 
     def render(self) -> str:
         """Human-readable polynomial by degree, then qubits: ``x3 + x1*x2``; ``0`` when empty."""
-        monos = sorted(self.terms(), key=lambda m: (len(m), m))
-        return " + ".join("*".join(f"x{j}" for j in mono) or "1" for mono in monos) or "0"
+        table = monomial_table(self.n)
+        order = table.render_order
+        masks = list(compress(order, map(self.coeffs.__getitem__, order)))
+        # Each term is its "*xj" factors less the first "*"; the constant term has none.
+        return " + ".join([term[1:] or "1" for term in table.join(table.factors, masks)]) or "0"
 
 
 def qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -114,12 +120,65 @@ def qubit_mask(n: int, qubits: Iterable[int]) -> int:
 
 def mask_qubits(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Inverse of qubit_mask: each mask's qubits as an ascending tuple."""
-    # Each half of a mask indexes a table of its qubit tuples, built by doubling.
-    low, hi, lo = n // 2, [()], [()]
-    for j in range(n, 0, -1):
-        table = lo if j > n - low else hi
-        table += [(j, *qubits) for qubits in table]
-    return (hi[m >> low] + lo[m & ((1 << low) - 1)] for m in masks)
+    table = monomial_table(n)
+    return table.join(table.qubits, list(masks))
+
+
+class MonomialTable:
+    """The 2^n monomials on qubits 1..n, as masks in two fixed orders and as text.
+
+    A mask m splits at `low` = n // 2: m >> low holds qubits 1..n-low and the
+    low bits the rest.  Each half indexes a list of that half's ascending qubit
+    tuples (`qubits`), its " j" gate arguments (`args`) and its "*xj" ANF
+    factors (`factors`), so `join` gives a mask's entry as high + low.  The
+    orders hold 2^n masks each and are built on their first read.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n, self.low = n, n // 2
+        hi, lo = [()], [()]  # each half by doubling, from qubit n down
+        for j in range(n, 0, -1):
+            half = lo if j > n - self.low else hi
+            half += [(j, *qubits) for qubits in half]
+        self.qubits = hi, lo
+        self.args = tuple(["".join(f" {j}" for j in q) for q in half] for half in (hi, lo))
+        self.factors = tuple(["".join(f"*x{j}" for j in q) for q in half] for half in (hi, lo))
+        self.mnemonics = ["c" * (k - 1) + "z" for k in range(n + 1)]  # by arity
+
+    def join(self, halves: tuple[list, list], masks: Sequence[int]) -> Iterator:
+        hi, lo = halves
+        return map(
+            add,
+            map(hi.__getitem__, map(rshift, masks, repeat(self.low))),
+            map(lo.__getitem__, map(and_, masks, repeat((1 << self.low) - 1))),
+        )
+
+    @cached_property
+    def _orders(self) -> tuple[array, array]:
+        lex: list[int] = []  # every nonzero mask by qubit tuple: (1), (1, 2), ..., (2), ...
+        for j in range(self.n, 0, -1):
+            bit = 1 << (self.n - j)
+            lex = [bit, *map(bit.__or__, lex), *lex]
+        by_degree = sorted(lex, key=int.bit_count)  # stable, so by qubit tuple within a degree
+        gate = array("L", by_degree[: self.n * (self.n + 1) // 2])  # the singletons and pairs
+        gate.extend(compress(lex, map((2).__lt__, map(int.bit_count, lex))))
+        return gate, array("L", [0, *by_degree])
+
+    @property
+    def gate_order(self) -> array:
+        """Masks 1..2^n-1 by (min(k, 3), qubit tuple), k the popcount: `synthesize`'s order."""
+        return self._orders[0]
+
+    @property
+    def render_order(self) -> array:
+        """Masks 0..2^n-1 by (k, qubit tuple): `Anf.render`'s order."""
+        return self._orders[1]
+
+
+@cache
+def monomial_table(n: int) -> MonomialTable:
+    """The one MonomialTable for n qubits."""
+    return MonomialTable(n)
 
 
 def _fill(a: Anf, n: int, coeffs: bytes) -> Anf:

@@ -19,14 +19,14 @@ One gate per line, `#` starts a comment, qubit indices are 1-based.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress
+from operator import add
 
 from .boolfn import Anf, FunctionClass, TruthTable, classify, mask_qubits, moebius_transform
-from .boolfn import qubit_mask
+from .boolfn import monomial_table, qubit_mask
 
 
 class CircuitParseError(ValueError):
@@ -193,21 +193,17 @@ class SynthesisReport:
         }
 
 
-def _gate_order(m: int) -> tuple[int, int, int]:
-    # (min(arity, 3), qubit tuple) without the tuple: within an arity, tuples ascend as
-    # masks descend, and a tuple's prefix fills its low bits alike but has fewer qubits.
-    return min(m.bit_count(), 3), -(m | ((m & -m) - 1)), m.bit_count()
-
-
 def synthesize(a: Anf) -> Circuit:
     """One phase gate per monomial but the constant 1: phase flips by qubit,
     then controlled phases by index pair, then multi-controlled Zs by control tuple."""
-    return Circuit(a.n, sorted(compress(range(1, len(a.coeffs)), a.coeffs[1:]), key=_gate_order))
+    order = monomial_table(a.n).gate_order
+    return Circuit(a.n, list(compress(order, map(a.coeffs.__getitem__, order))))
 
 
 def gate_counts(c: Circuit) -> GateCounts:
-    arity = Counter(min(op.bit_count(), 3) if type(op) is int else "h" for op in c.ops)
-    return GateCounts(arity[1], arity[2], arity[3], arity["h"])
+    arity = [op.bit_count() for op in c.ops if type(op) is int]
+    z, cz = arity.count(1), arity.count(2)
+    return GateCounts(z, cz, len(arity) - z - cz, len(c.ops) - len(arity))
 
 
 def classify_construction(c: Circuit) -> ConstructionType:
@@ -249,15 +245,12 @@ def synthesis_report(t: TruthTable) -> SynthesisReport:
 
 def emit_text(c: Circuit) -> str:
     """Serialize to the line format; every line ends with a newline."""
-    terms = mask_qubits(c.n, (op for op in c.ops if type(op) is int))
-    lines = [f"qubits {c.n}"]
-    for op in c.ops:
-        if type(op) is int:
-            qubits = next(terms)
-            lines.append(f"{'c' * (len(qubits) - 1)}z {' '.join(map(str, qubits))}")
-        else:
-            lines.append(f"h {op.qubit}")
-    return "".join(line + "\n" for line in lines)
+    table = monomial_table(c.n)
+    masks = [op for op in c.ops if type(op) is int]
+    names = map(table.mnemonics.__getitem__, map(int.bit_count, masks))
+    gates = map(add, names, table.join(table.args, masks))
+    lines = [next(gates) if type(op) is int else f"h {op.qubit}" for op in c.ops]
+    return "\n".join([f"qubits {c.n}", *lines, ""])
 
 
 def _parse_indices(parts: list[str], lineno: int) -> list[int]:

@@ -26,6 +26,39 @@ def eval_monomials(monomials, x: int, n: int) -> int:
     return acc
 
 
+def mask_bits(mask: int, n: int) -> tuple[int, ...]:
+    """The qubits whose bit is set in a monomial mask, by one bit test per qubit."""
+    return tuple(j for j in range(1, n + 1) if mask >> (n - j) & 1)
+
+
+def monomials_by_bits(coeffs, n: int) -> list[tuple[int, ...]]:
+    """Each nonzero coefficient's qubit tuple, in coefficient index order."""
+    return [mask_bits(m, n) for m in range(1 << n) if coeffs[m]]
+
+
+def gate_order(monos) -> list[tuple[int, ...]]:
+    """Qubit tuples but the constant (), by (min(arity, 3), qubits)."""
+    return sorted((q for q in monos if q), key=lambda q: (min(len(q), 3), q))
+
+
+def render(monos) -> str:
+    """The ANF as text, terms by (degree, qubits), the constant term as "1"."""
+    terms = sorted(monos, key=lambda q: (len(q), q))
+    return " + ".join("*".join(f"x{j}" for j in q) or "1" for q in terms) or "0"
+
+
+def emit_text(n: int, ops) -> str:
+    """The circuit text format, one f-string per line; ops are masks or Hadamards."""
+    lines = [f"qubits {n}"]
+    for op in ops:
+        if type(op) is int:
+            qubits = mask_bits(op, n)
+            lines.append(f"{'c' * (len(qubits) - 1)}z {' '.join(map(str, qubits))}")
+        else:
+            lines.append(f"h {op.qubit}")
+    return "".join(line + "\n" for line in lines)
+
+
 def moebius_bruteforce(values, n: int) -> set[frozenset[int]]:
     """ANF coefficients via the subset-sum rule: a_S = XOR of f over x <= S."""
     monos = set()

@@ -68,8 +68,7 @@ def test_anf_from_monomials_equals_transform(t):
 
 def reference_gate_order(t):
     # The subset-sum ANF, sorted as qubit tuples: no mask, no butterfly.
-    monomials = (tuple(sorted(m)) for m in oracles.moebius_bruteforce(t.values, t.n) if m)
-    return sorted(monomials, key=lambda m: (min(len(m), 3), m))
+    return oracles.gate_order(tuple(sorted(m)) for m in oracles.moebius_bruteforce(t.values, t.n))
 
 
 @PROPERTY_SETTINGS
