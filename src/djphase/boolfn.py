@@ -109,8 +109,9 @@ class Anf:
         table = monomial_table(self.n)
         order = table.render_order
         masks = list(compress(order, map(self.coeffs.__getitem__, order)))
-        # Each term is its "*xj" factors less the first "*"; the constant term has none.
-        return " + ".join([term[1:] or "1" for term in table.join(table.factors, masks)]) or "0"
+        # " 1 2+ 3" -> "*x1*x2 + x3"; the constant term, mask 0, comes first as "".
+        text = "+".join(table.join(table.args, masks)).replace(" ", "*x").replace("+*", " + ")
+        return ("1" + text if self.coeffs[0] else text[1:]) or "0"
 
 
 def qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -128,36 +129,34 @@ class MonomialTable:
     """The 2^n monomials on qubits 1..n, as masks in two fixed orders and as text.
 
     A mask m splits at `low` = n // 2: m >> low holds qubits 1..n-low and the
-    low bits the rest.  Each half indexes a list of that half's ascending qubit
-    tuples (`qubits`), its " j" gate arguments (`args`) and its "*xj" ANF
-    factors (`factors`), so `join` gives a mask's entry as high + low.  The
-    orders hold 2^n masks each and are built on their first read.
+    low bits the rest.  Each half indexes a list of its qubits as " j" text
+    (`args`, " 1 3" for qubits 1 and 3), so `join` gives a mask's text, which
+    gate lines and ANF terms both read, as high + low.  The qubit tuples
+    (`qubits`) and the two orders of 2^n masks each are built on first read.
     """
 
     def __init__(self, n: int) -> None:
         self.n, self.low = n, n // 2
-        hi, lo = [()], [()]  # each half by doubling, from qubit n down
+        hi, lo = [""], [""]  # each half by doubling, from qubit n down
         for j in range(n, 0, -1):
             half = lo if j > n - self.low else hi
-            half += [(j, *qubits) for qubits in half]
-        self.qubits = hi, lo
-        self.args = tuple(["".join(f" {j}" for j in q) for q in half] for half in (hi, lo))
-        self.factors = tuple(["".join(f"*x{j}" for j in q) for q in half] for half in (hi, lo))
+            half += [f" {j}{s}" for s in half]
+        self.args = hi, lo
         self.mnemonics = ["c" * (k - 1) + "z" for k in range(n + 1)]  # by arity
+
+    @cached_property
+    def qubits(self) -> tuple[list, list]:
+        return tuple([tuple(map(int, s.split())) for s in half] for half in self.args)
 
     def join(self, halves: tuple[list, list], masks: Sequence[int]) -> Iterator:
         hi, lo = halves
-        return map(
-            add,
-            map(hi.__getitem__, map(rshift, masks, repeat(self.low))),
-            map(lo.__getitem__, map(and_, masks, repeat((1 << self.low) - 1))),
-        )
+        highs = map(hi.__getitem__, map(rshift, masks, repeat(self.low)))
+        return map(add, highs, map(lo.__getitem__, map(and_, masks, repeat((1 << self.low) - 1))))
 
     @cached_property
     def _orders(self) -> tuple[array, array]:
         lex: list[int] = []  # every nonzero mask by qubit tuple: (1), (1, 2), ..., (2), ...
-        for j in range(self.n, 0, -1):
-            bit = 1 << (self.n - j)
+        for bit in (1 << k for k in range(self.n)):  # qubit n's bit first
             lex = [bit, *map(bit.__or__, lex), *lex]
         by_degree = sorted(lex, key=int.bit_count)  # stable, so by qubit tuple within a degree
         gate = array("L", by_degree[: self.n * (self.n + 1) // 2])  # the singletons and pairs

@@ -15,10 +15,11 @@ dumps; the text views render that same dict.  `synth` text is the
 circuit text format instead, so it never renders the ANF.
 
 Exit codes: 0 success; 2 bad input, including a --tol outside
-1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS or a negative
-`--seed` (all checked before any table is read), and a table too large
-for the run mode or for `synth` (n > 20); 3 promise violation; 4 a failed
-`verify` suite or a failed self-check inside any other command.
+1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS (above 0 with
+`--mode classical`) or a negative `--seed` (all checked before any table
+is read), and a table too large for the run mode or for `synth` (n > 20);
+3 promise violation; 4 a failed `verify` suite or a failed self-check
+inside any other command.
 JSON output is byte-identical across runs for the same inputs.
 """
 
@@ -254,6 +255,8 @@ def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
     check_tol(args.tol)
     if not 0 <= args.shots <= MAX_SHOTS:
         raise ValueError(f"--shots must satisfy 0 <= shots <= {MAX_SHOTS}, got {args.shots}")
+    if args.shots and args.mode == "classical":
+        raise ValueError(f"--shots must be 0 with --mode classical, got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     payloads = _run_payloads(_load_tables(args), args)

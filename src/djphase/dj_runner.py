@@ -88,9 +88,7 @@ def check_tol(tol: float) -> None:
 def _check_promise(t: TruthTable) -> FunctionClass:
     kind = classify(t)
     if kind == FunctionClass.OTHER:
-        raise PromiseViolationError(
-            f"truth table {t.text} is neither constant nor balanced"
-        )
+        raise PromiseViolationError(f"truth table {t.text} is neither constant nor balanced")
     return kind
 
 
@@ -232,8 +230,7 @@ def classical_decide(t: TruthTable) -> ClassicalOutcome:
 
 def entanglement_profile(t: TruthTable) -> EntanglementProfile:
     """Diagnostics for the refined-run state right after the oracle."""
-    state = basis_state(t.n, 0)
-    apply_hadamard_all(state)
+    state = apply_hadamard_all(basis_state(t.n, 0))
     apply_phase_oracle(state, t)
     return entanglement_diagnostics(state)
 

@@ -79,6 +79,7 @@ def _check_census() -> CheckResult:
         failures.append(f"classes={report.classes} (want 35)")
     if report.type_counts != expected:
         failures.append(f"type_counts={report.type_counts} (want {expected})")
+    # Unreached while synthesis_report raises on an mcz or > 3 cz; they catch it if it stops.
     for row in report.rows:
         if row.report.counts.mcz:
             failures.append(f"{row.report.truth_table.text} needs a multi-controlled Z")

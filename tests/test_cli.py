@@ -209,6 +209,8 @@ class TestRun:
             (("--shots", "-5"), "classical", "--shots"),
             (("--shots", "64", "--seed", "-1"), "refined", "--seed"),
             (("--seed", "-1"), "original", "--seed"),
+            # A classical run samples nothing; 5 shots once exited 0 with no histogram.
+            (("--shots", "5"), "classical", "--shots"),
         ],
     )
     def test_shots_and_seed_checked_at_boundary(self, capsys, flags, mode, flag):

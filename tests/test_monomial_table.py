@@ -27,7 +27,7 @@ from djphase import (
     parse_text,
     synthesize,
 )
-from djphase.boolfn import monomial_table
+from djphase.boolfn import mask_qubits, monomial_table
 
 
 def anf_of(coeffs: bytes, n: int) -> Anf:
@@ -113,3 +113,27 @@ def test_emit_text_with_hadamards_interleaved(n):
     assert emit_text(c) == oracles.emit_text(n, c.ops)
     assert parse_text(emit_text(c)) == c
     assert gate_counts(c).h == len(ops) + 1 - len(masks)
+
+
+@pytest.mark.parametrize("n", [17, 24, 36])
+def test_wide_sparse_circuits(n):
+    # Past the dense cases' n = 16, where each half of a table has 2^(n/2) entries.
+    rng = random.Random(1800 + n)
+    split = n - n // 2  # the high half's last qubit
+    qubits = [(1,), (split,), (split + 1,), (n,), (split, split + 1), tuple(range(1, n + 1))]
+    qubits += [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, 5)))) for _ in range(40)]
+    masks = [sum(1 << (n - j) for j in q) for q in qubits]
+    ops = []
+    for op in masks:
+        ops += [Hadamard(rng.randint(1, n))] * rng.randint(0, 1) + [op]
+    monomial_table.cache_clear()  # a fresh table, so text is read before any tuple is built
+    try:
+        c = Circuit(n, ops)
+        assert emit_text(c) == oracles.emit_text(n, c.ops)
+        assert parse_text(emit_text(c)) == c
+        assert "qubits" not in vars(monomial_table(n))
+        assert [oracles.mask_bits(m, n) for m in masks] == qubits
+        assert list(mask_qubits(n, masks)) == qubits
+        assert [g.qubits for g in c.gates if not isinstance(g, Hadamard)] == qubits
+    finally:
+        monomial_table.cache_clear()  # the n=36 halves hold 2^18 entries each
