@@ -106,7 +106,7 @@ def _load_tables(args: argparse.Namespace) -> list[TruthTable]:
     if args.truth is not None:
         return [parse_truth_table(args.truth)]
     tables = []
-    with open(args.truth_file, encoding="utf-8") as fh:
+    with open(args.truth_file, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:

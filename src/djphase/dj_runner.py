@@ -121,7 +121,7 @@ def _read_out(total: float, zero: float, purity: float | None, tol: float) -> Ve
     raise SelfCheckError(f"zero amplitude {zero!r} is neither near 0 nor near +-1; bad oracle?")
 
 
-def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, None]:
+def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
     """One oracle query on n qubits per row, each with its table's synthesized circuit."""
     anfs = [moebius_transform(t) for t in tables]
     state = apply_hadamard_all(basis_state(tables[0].n, 0, rows=len(tables)))
@@ -132,7 +132,7 @@ def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarra
     flip = [a.has_constant_term for a in anfs]
     if any(flip):
         np.negative(state.amps, out=state.amps, where=np.array(flip)[:, None])
-    return state, probabilities(state), None
+    return state, probabilities(state), [None] * len(tables)
 
 
 def _apply_xor_oracle(state: StateVector, bits: bytes) -> StateVector:
@@ -179,8 +179,7 @@ def run_tables(
         # An original run's working qubit ends in |1>: its zero amplitude is entry 1.
         zeros = state.amps[:, int(original)].real.tolist()
         totals = probs.sum(axis=-1).tolist()
-        for k, i in enumerate(rows):
-            purity = None if purities is None else purities[k]
+        for k, (i, purity) in enumerate(zip(rows, purities)):
             try:
                 verdict = _read_out(totals[k], zeros[k], purity, tol)
             except SelfCheckError as exc:

@@ -41,9 +41,7 @@ class EnumerationReport:
 
     def as_dict(self) -> dict:
         return {
-            "n": self.n,
-            "total_balanced": self.total_balanced,
-            "classes": self.classes,
+            **vars(self),
             "type_counts": (
                 {str(k): v for k, v in sorted(self.type_counts.items())}
                 if self.type_counts is not None
@@ -103,13 +101,7 @@ class EntanglementSurvey:
     rows: tuple[SurveyRow, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "classes": self.classes,
-            "product_classes": self.product_classes,
-            "entangled_classes": self.entangled_classes,
-            "rows": [row.as_dict() for row in self.rows],
-        }
+        return {**vars(self), "rows": [row.as_dict() for row in self.rows]}
 
 
 def entanglement_survey(n: int) -> EntanglementSurvey:

@@ -10,8 +10,9 @@ every one-qubit purity; phase gates index the (2,) * n reshape in
 apply_gate.  apply_circuit runs each block of consecutive phase-gate masks
 in Circuit.ops as one diagonal multiply, and apply_circuits gives each row
 of a stack its own circuit's diagonal, both built by numpy code of their
-own.  The array is mutated in place, never through matrices; the
-equivalence check runs once on a real 2n-qubit identity state.
+own; a row whose circuit holds a Hadamard runs whole through apply_circuit.
+The array is mutated in place, never through matrices; the equivalence
+check runs once on a real 2n-qubit identity state.
 """
 
 from __future__ import annotations
@@ -132,27 +133,23 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 def apply_circuits(state: StateVector, circuits: list[Circuit]) -> StateVector:
     """Apply circuits[r] to row r of a (B, 2^n) stack, each circuit on all n qubits.
 
-    The phase gates before each circuit's first Hadamard are one diagonal for the
-    whole stack; the rest of such a circuit runs on its row through apply_circuit.
+    The masks of every phase-only circuit are one diagonal for the whole stack; a
+    circuit that holds a Hadamard runs whole on its row through apply_circuit.
     """
     if state.amps.ndim != 2 or len(circuits) != state.amps.shape[0]:
         raise ValueError(f"{len(circuits)} circuits for a stack of shape {state.amps.shape}")
     n = state.n
-    heads, rest = [], []
     for row, c in enumerate(circuits):
         if c.n != n:
             raise ValueError(f"circuit {row} on {c.n} qubits, stack on {n}")
-        cut = len(c.ops)
-        if {*map(type, c.ops)} - {int}:
-            cut = next(i for i, op in enumerate(c.ops) if type(op) is not int)
-            rest.append((row, Circuit(n, c.ops[cut:])))
-        heads.append(c.ops[:cut])
-    sizes = list(map(len, heads))
-    index = np.fromiter(chain.from_iterable(heads), np.int64, sum(sizes))
-    if len(heads) > 1:  # row r's masks index its own 2^n entries; row 0's need no shift
-        index += np.repeat(np.arange(len(heads), dtype=np.int64) << n, sizes)
+    whole = {row: c for row, c in enumerate(circuits) if {*map(type, c.ops)} - {int}}
+    masks = [() if row in whole else c.ops for row, c in enumerate(circuits)]
+    sizes = list(map(len, masks))
+    index = np.fromiter(chain.from_iterable(masks), np.int64, sum(sizes))
+    if len(masks) > 1:  # row r's masks index its own 2^n entries; row 0's need no shift
+        index += np.repeat(np.arange(len(masks), dtype=np.int64) << n, sizes)
     _apply_phase_block(state.amps, n, index, len(circuits))
-    for row, c in rest:
+    for row, c in whole.items():
         apply_circuit(StateVector(n, state.amps[row]), c)
     return state
 

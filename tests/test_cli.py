@@ -313,6 +313,12 @@ class TestEnumerate:
         _, second, _ = run_cli(capsys, "enumerate", "-n", "3", "--format", "json")
         assert first == second
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_json_key_order(self, capsys, n):
+        code, out, _ = run_cli(capsys, "enumerate", "-n", str(n), "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == ["n", "total_balanced", "classes", "type_counts", "rows"]
+
     def test_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "-n", "5")
         assert code == 2
@@ -329,6 +335,15 @@ class TestEntangle:
         assert payload["entangled_classes"] == 28
         assert len(payload["rows"]) == 35
         assert all(len(r["purities"]) == 3 for r in payload["rows"])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_json_key_order(self, capsys, n):
+        code, out, _ = run_cli(capsys, "entangle", "-n", str(n), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["n", "classes", "product_classes", "entangled_classes", "rows"]
+        for row in payload["rows"]:
+            assert list(row) == ["truth_table", "type", "purities", "fully_product"]
 
     def test_n2_all_product(self, capsys):
         # Every balanced 2-input function is linear, so nothing entangles.
@@ -535,6 +550,27 @@ class TestEmptyTruthFile:
         assert (code, out) == (2, "")
         assert err == f"error: no truth tables found in {path}\n"
         assert not target.exists()
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth",),
+            ("synth", "--format", "json"),
+            ("run",),
+            ("run", "--format", "json", "--shots", "16"),
+        ],
+    )
+    def test_bom_file_reads_as_without_the_mark(self, capsys, tmp_path, argv):
+        # Some Windows editors start a UTF-8 file with a byte-order mark.
+        text = b"0110\n# a comment\n01010110\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want = run_cli(capsys, *argv, "--truth-file", str(plain))
+        assert want[0] == 0 and want[1]
+        assert run_cli(capsys, *argv, "--truth-file", str(marked)) == want
 
 
 

@@ -399,6 +399,31 @@ class TestStacks:
             want = apply_circuit(StateVector(n, amps.copy()), c).amps
             assert np.array_equal(_bits(row), _bits(want)), c
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hadamard_rows_run_whole_among_phase_rows(self, n):
+        rng = random.Random(500 + n)
+        size = 1 << n
+
+        def masks(k):
+            return [rng.randrange(1, size) for _ in range(k)]
+
+        circuits = [
+            Circuit(n, masks(5)),
+            Circuit(n, ()),
+            Circuit(n, [Hadamard(1), *masks(3)]),
+            Circuit(n, masks(4)),
+            Circuit(n, [*masks(2), Hadamard(n), *masks(3), Hadamard(1), *masks(2)]),
+            Circuit(n, [Hadamard(rng.randint(1, n))]),
+            Circuit(n, masks(size)),
+        ]
+        stack = _random_stack(n, len(circuits), 600 + n)
+        got = djphase.simulator.apply_circuits(StateVector(n, stack.copy()), circuits).amps
+        for row, amps, c in zip(got, stack, circuits):
+            alone = apply_circuit(StateVector(n, amps.copy()), c).amps
+            per_gate = apply_gates_one_by_one(StateVector(n, amps.copy()), c.gates).amps
+            assert np.array_equal(_bits(row), _bits(alone)), c
+            assert np.array_equal(_bits(row), _bits(per_gate)), c
+
     def test_apply_circuits_rejects_a_mismatch(self):
         stack = StateVector(3, np.zeros((2, 8), dtype=np.complex128))
         with pytest.raises(ValueError, match="2 circuits"):
