@@ -16,8 +16,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import compress, repeat
-from operator import add, and_, rshift
+from itertools import combinations, compress, repeat, starmap
+from operator import add, and_, or_, rshift
 
 _DIGITS = bytes.maketrans(b"01" + b"\0\1", b"\0\1" + b"01")  # "0"/"1" <-> 0/1, both ways
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -107,8 +107,9 @@ class Anf:
     def render(self) -> str:
         """Human-readable polynomial by degree, then qubits: ``x3 + x1*x2``; ``0`` when empty."""
         table = monomial_table(self.n)
-        order = table.render_order
-        masks = list(compress(order, map(self.coeffs.__getitem__, order)))
+        # Within a degree, qubit-tuple order is descending mask order, so a stable sort by degree.
+        masks = sorted(compress(range(len(self.coeffs) - 1, -1, -1), self.coeffs[::-1]),
+                       key=int.bit_count)
         # " 1 2+ 3" -> "*x1*x2 + x3"; the constant term, mask 0, comes first as "".
         text = "+".join(table.join(table.args, masks)).replace(" ", "*x").replace("+*", " + ")
         return ("1" + text if self.coeffs[0] else text[1:]) or "0"
@@ -126,13 +127,14 @@ def mask_qubits(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
 
 
 class MonomialTable:
-    """The 2^n monomials on qubits 1..n, as masks in two fixed orders and as text.
+    """The 2^n monomials on qubits 1..n, as masks in `synthesize`'s order and as text.
 
     A mask m splits at `low` = n // 2: m >> low holds qubits 1..n-low and the
     low bits the rest.  Each half indexes a list of its qubits as " j" text
     (`args`, " 1 3" for qubits 1 and 3), so `join` gives a mask's text, which
     gate lines and ANF terms both read, as high + low.  The qubit tuples
-    (`qubits`) and the two orders of 2^n masks each are built on first read.
+    (`qubits`) and the gate order of the 2^n - 1 nonzero masks are built on
+    first read.
     """
 
     def __init__(self, n: int) -> None:
@@ -154,24 +156,16 @@ class MonomialTable:
         return map(add, highs, map(lo.__getitem__, map(and_, masks, repeat((1 << self.low) - 1))))
 
     @cached_property
-    def _orders(self) -> tuple[array, array]:
+    def gate_order(self) -> array:
+        """Masks 1..2^n-1 by (min(k, 3), qubit tuple), k the popcount: `synthesize`'s order."""
         lex: list[int] = []  # every nonzero mask by qubit tuple: (1), (1, 2), ..., (2), ...
         for bit in (1 << k for k in range(self.n)):  # qubit n's bit first
             lex = [bit, *map(bit.__or__, lex), *lex]
-        by_degree = sorted(lex, key=int.bit_count)  # stable, so by qubit tuple within a degree
-        gate = array("L", by_degree[: self.n * (self.n + 1) // 2])  # the singletons and pairs
-        gate.extend(compress(lex, map((2).__lt__, map(int.bit_count, lex))))
-        return gate, array("L", [0, *by_degree])
-
-    @property
-    def gate_order(self) -> array:
-        """Masks 1..2^n-1 by (min(k, 3), qubit tuple), k the popcount: `synthesize`'s order."""
-        return self._orders[0]
-
-    @property
-    def render_order(self) -> array:
-        """Masks 0..2^n-1 by (k, qubit tuple): `Anf.render`'s order."""
-        return self._orders[1]
+        singles = [1 << k for k in range(self.n - 1, -1, -1)]  # qubits 1..n
+        order = array("L", singles)
+        order.extend(starmap(or_, combinations(singles, 2)))
+        order.extend(compress(lex, map((2).__lt__, map(int.bit_count, lex))))
+        return order
 
 
 @cache
@@ -235,7 +229,7 @@ def anf_to_truth_table(a: Anf) -> TruthTable:
 
 def degree(a: Anf) -> int:
     """Size of the largest monomial; 0 for the zero and constant functions."""
-    return max(map(len, a.terms()), default=0)
+    return max(map(int.bit_count, compress(range(len(a.coeffs)), a.coeffs)), default=0)
 
 
 def complement(t: TruthTable) -> TruthTable:

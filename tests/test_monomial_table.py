@@ -71,11 +71,31 @@ def test_every_coefficient_buffer(n):
 def test_one_qubit():
     # One mask in each order: a single-index gather must still give a sequence.
     assert list(monomial_table(1).gate_order) == [1]
-    assert list(monomial_table(1).render_order) == [0, 1]
     a = Anf(1, [[1], []])
     assert synthesize(a) == Circuit(1, (1,))
     assert a.render() == "1 + x1"
     assert emit_text(synthesize(a)) == "qubits 1\nz 1\n"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gate_order_over_every_qubit_tuple(n):
+    every = [oracles.mask_bits(m, n) for m in range(1, 1 << n)]
+    order = [oracles.mask_bits(m, n) for m in monomial_table(n).gate_order]
+    assert order == oracles.gate_order(every)
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_wide_sparse_render(n):
+    # Past the dense cases' n = 16; render sorts only its own terms, so no gate order is built.
+    rng = random.Random(1900 + n)
+    monomial_table.cache_clear()
+    try:
+        for _ in range(3):
+            a = random_anf(n, False, rng)
+            assert a.render() == oracles.render(oracles.monomials_by_bits(a.coeffs, n))
+        assert "gate_order" not in vars(monomial_table(n))
+    finally:
+        monomial_table.cache_clear()
 
 
 def test_every_balanced_n4_table():
