@@ -264,14 +264,30 @@ def _parse_indices(parts: list[str], lineno: int) -> list[int]:
 
 
 def parse_text(text: str) -> Circuit:
-    """Inverse of emit_text; tolerates comments and blank lines."""
+    """Inverse of emit_text; tolerates comments and blank lines.
+
+    A gate line's mask is the sum of its qubits' bits, read from a lookup that
+    the `qubits <n>` header builds, and the line stands when its keyword's arity
+    equals both its index count and the mask's popcount, so its qubits are
+    distinct.  Any other line, the header included, takes the per-index checks
+    (`int`, range, keyword, arity), so what is accepted, and each error message
+    and line number, does not depend on the lookup.
+    """
     n = None
     ops: list[int | Hadamard] = []
+    bits: dict[str, int] = {}  # "j" -> qubit j's mask bit; both filled at the header
+    arities: dict[str, int] = {}  # "z", "cz", "ccz", ... -> its qubit count
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
+        try:
+            mask = sum(map(bits.__getitem__, parts[1:]))
+            if arities[parts[0]] == len(parts) - 1 == mask.bit_count():
+                ops.append(mask)
+                continue
+        except KeyError:
+            pass
         keyword = parts[0]
         if n is None:
             if keyword != "qubits":
@@ -281,6 +297,10 @@ def parse_text(text: str) -> Circuit:
             (n,) = _parse_indices(parts[1:], lineno)
             if n < 1:
                 raise CircuitParseError(f"line {lineno}: qubit count must be >= 1, got {n}")
+            # At most 64 entries of at most 64 bits each, whatever n is: lines on
+            # qubits below n - 63 or on more than 64 qubits take the checks below.
+            bits = {str(j): 1 << (n - j) for j in range(max(1, n - 63), n + 1)}
+            arities = {"c" * (k - 1) + "z": k for k in range(1, min(n, 64) + 1)}
             continue
         if keyword == "qubits":
             raise CircuitParseError(f"line {lineno}: duplicate 'qubits' header")

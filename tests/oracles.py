@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from djphase import Circuit, CircuitParseError, Hadamard
+
 
 def bit_of(index: int, qubit: int, n: int) -> int:
     """Value of 1-based qubit (qubit 1 = most significant bit) in index."""
@@ -57,6 +59,59 @@ def emit_text(n: int, ops) -> str:
         else:
             lines.append(f"h {op.qubit}")
     return "".join(line + "\n" for line in lines)
+
+
+def _index(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CircuitParseError(f"line {lineno}: expected qubit index, got {token!r}") from None
+
+
+def parse_text_reference(text: str) -> Circuit:
+    """The circuit text format read token by token: `int` per index, masks from qubit tuples.
+
+    Accepts and rejects what `parse_text` does, with the same messages and line numbers.
+    """
+    n = None
+    ops = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        keyword, *args = line.split()
+        if n is None:
+            if keyword != "qubits":
+                raise CircuitParseError(f"line {lineno}: expected 'qubits <n>' header first")
+            if len(args) != 1:
+                raise CircuitParseError(f"line {lineno}: 'qubits' takes exactly one count")
+            n = _index(args[0], lineno)
+            if n < 1:
+                raise CircuitParseError(f"line {lineno}: qubit count must be >= 1, got {n}")
+            continue
+        if keyword == "qubits":
+            raise CircuitParseError(f"line {lineno}: duplicate 'qubits' header")
+        qubits = tuple(_index(a, lineno) for a in args)
+        if not all(1 <= q <= n for q in qubits):
+            raise CircuitParseError(f"line {lineno}: qubit index outside 1..{n}")
+        if keyword == "h":
+            arity = 1
+        elif keyword.lstrip("c") == "z":
+            arity = len(keyword)
+        else:
+            raise CircuitParseError(f"line {lineno}: unknown gate {keyword!r}")
+        if len(qubits) != arity or len(set(qubits)) != arity:
+            raise CircuitParseError(f"line {lineno}: '{keyword}' takes {arity} distinct qubit(s)")
+        if keyword == "h":
+            ops.append(Hadamard(qubits[0]))
+        else:
+            mask = 0
+            for q in qubits:
+                mask |= 1 << (n - q)
+            ops.append(mask)
+    if n is None:
+        raise CircuitParseError("empty circuit text: missing 'qubits <n>' header")
+    return Circuit(n, ops)
 
 
 def moebius_bruteforce(values, n: int) -> set[frozenset[int]]:

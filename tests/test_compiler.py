@@ -30,6 +30,7 @@ from djphase import (
     synthesis_report,
     synthesize,
 )
+from djphase.boolfn import monomial_table
 
 # Canonical balanced n=3 functions with linear ANF; their oracles need no
 # controlled gates.
@@ -357,3 +358,145 @@ class TestMaskOnlyCircuit:
     def test_names_the_first_bad_mask(self):
         with pytest.raises(ValueError, match=r"^9 is neither"):
             Circuit(3, (1, 9, 0))
+
+
+class TestParseText:
+    # parse_text reads a line through the header's qubit lookup when it can; every line
+    # must still parse, or fail, exactly as `oracles.parse_text_reference` reads it.
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty circuit text: missing 'qubits <n>' header"),
+            ("z 1\n", "line 1: expected 'qubits <n>' header first"),
+            ("qubits\n", "line 1: 'qubits' takes exactly one count"),
+            ("qubits 3\nqubits 3\n", "line 2: duplicate 'qubits' header"),
+            ("qubits 0\n", "line 1: qubit count must be >= 1, got 0"),
+            ("qubits 3\nz\n", "line 2: 'z' takes 1 distinct qubit(s)"),
+            ("qubits 3\nz 1 2\n", "line 2: 'z' takes 1 distinct qubit(s)"),
+            ("qubits 3\nz 4\n", "line 2: qubit index outside 1..3"),
+            ("qubits 3\ncz 1\n", "line 2: 'cz' takes 2 distinct qubit(s)"),
+            ("qubits 3\ncz 2 2\n", "line 2: 'cz' takes 2 distinct qubit(s)"),
+            ("qubits 3\nccz 1 2\n", "line 2: 'ccz' takes 3 distinct qubit(s)"),
+            ("qubits 3\nccz 1 2 2\n", "line 2: 'ccz' takes 3 distinct qubit(s)"),
+            ("qubits 3\nrx 1\n", "line 2: unknown gate 'rx'"),
+            ("qubits 3\nczz 1 2 3\n", "line 2: unknown gate 'czz'"),
+            ("qubits 3\nz one\n", "line 2: expected qubit index, got 'one'"),
+            ("qubits x\n", "line 1: expected qubit index, got 'x'"),
+        ],
+    )
+    def test_rejection_messages(self, text, message):
+        for parse in (parse_text, oracles.parse_text_reference):
+            with pytest.raises(CircuitParseError) as exc:
+                parse(text)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text,ops",
+        [
+            ("qubits 3\nz 01\n", (PhaseFlip(1),)),
+            ("qubits 3\nz +1\n", (PhaseFlip(1),)),
+            ("qubits 3\nz ١\n", (PhaseFlip(1),)),  # ARABIC-INDIC DIGIT ONE
+            ("qubits 3\nh 2\n", (Hadamard(2),)),
+            ("qubits +3\nz 1\n", (PhaseFlip(1),)),
+            ("qubits 3\nz 1#x\n", (PhaseFlip(1),)),
+            ("qubits 3\ncz 3 1\n", (ControlledPhase(1, 3),)),
+        ],
+    )
+    def test_odd_forms_stay_accepted(self, text, ops):
+        assert parse_text(text) == oracles.parse_text_reference(text) == Circuit(3, ops)
+
+    @staticmethod
+    def _corrupt(rng: random.Random, lines: list[str], n: int) -> str:
+        """Apply one to three random corruptions to a circuit's lines, then join them."""
+        lines = list(lines)
+        gates = [i for i, line in enumerate(lines) if i and line.split()]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(12)
+            i = rng.choice(gates) if gates else 0
+            kw, *args = lines[i].split() or ["z"]
+            if kind == 0 and args:  # drop a qubit
+                args.pop(rng.randrange(len(args)))
+            elif kind == 1 and args:  # repeat a qubit, in place or added
+                j = rng.randrange(len(args))
+                args[rng.randrange(len(args))] = args[j]
+                if rng.random() < 0.5:
+                    args.append(args[j])
+            elif kind == 2 and args:  # a qubit out of range, or not canonical
+                token = rng.choice(["0", "-1", str(n + 1), str(n + 64), "01", "+1", "x"])
+                args[rng.randrange(len(args))] = token
+            elif kind == 3:  # an unknown or an arity-mismatched keyword
+                kw = rng.choice(["rx", "czz", "x", "cx", "CZ", "h", "z", "cz", "ccz", "cccz"])
+            elif kind == 4:  # a '#' tail
+                args.append(rng.choice(["#", "# note", "#z 1", "#qubits 2"]))
+            elif kind == 5:  # a blank or whitespace-only line
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t", "#"]))
+                continue
+            elif kind == 6:  # a duplicate header
+                lines.insert(rng.randrange(1, len(lines) + 1), f"qubits {n}")
+                continue
+            elif kind == 7:  # a missing header
+                lines = lines[1:] or [""]
+                gates = [i - 1 for i in gates if i > 1]
+                continue
+            elif kind == 8:  # a header with another count
+                lines[0] = f"qubits {rng.choice([0, 1, n - 1, n + 1, 70])}"
+                continue
+            if kind == 9:  # tabs between the tokens
+                lines[i] = "\t".join([kw, *args])
+            elif kind == 10:  # a form feed, which also ends a line
+                lines[i] = " ".join([kw, *args]).replace(" ", "\x0c", 1)
+            else:  # the line as changed above, or as it was
+                lines[i] = " ".join([kw, *args])
+        return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+    def test_corrupted_text_matches_the_reference(self):
+        rng = random.Random(2024)
+        tables = [TruthTable(n, tuple(rng.choices((0, 1), k=1 << n))) for n in [*range(1, 9)] * 4]
+        circuits = [synthesize(moebius_transform(t)) for t in tables]
+        circuits += CIRCUITS
+        for n in range(1, 9):  # mixed circuits with Hadamards
+            ops = [Hadamard(rng.randint(1, n)) if rng.random() < 0.4 else rng.randrange(1, 1 << n)
+                   for _ in range(9)]
+            circuits.append(Circuit(n, ops))
+        rejected = 0
+        for c in circuits:
+            lines = oracles.emit_text(c.n, c.ops).splitlines()
+            assert parse_text(emit_text(c)) == oracles.parse_text_reference(emit_text(c)) == c
+            for _ in range(60):
+                text = self._corrupt(rng, lines, c.n)
+                try:
+                    expected = oracles.parse_text_reference(text)
+                except CircuitParseError as exc:
+                    rejected += 1
+                    with pytest.raises(CircuitParseError) as got:
+                        parse_text(text)
+                    assert str(got.value) == str(exc), text
+                else:
+                    got = parse_text(text)
+                    assert got == expected, text
+                    assert list(map(type, got.ops)) == list(map(type, expected.ops))
+        # Both outcomes occur often enough to mean something.
+        assert 0.2 < rejected / (60 * len(circuits)) < 0.9
+
+    @pytest.mark.parametrize("n", [17, 20, 24, 36, 64, 65, 100])
+    def test_wide_sparse_circuits(self, n):
+        rng = random.Random(n)
+        masks = [rng.randrange(1, 1 << n) for _ in range(40)]
+        masks += [sum(1 << b for b in rng.sample(range(n), k)) for k in (1, 1, 2, 2, 3, 4)]
+        text = oracles.emit_text(n, masks)
+        before = monomial_table.cache_info()
+        c = parse_text(text)
+        assert monomial_table.cache_info() == before  # no table is built, or even read
+        assert c == Circuit(n, masks)
+
+    def test_huge_qubit_count(self):
+        # The header's lookup covers a bounded range of qubits, whatever the count says.
+        n = 10**6
+        text = f"qubits {n}\nz {n}\ncz {n - 1} {n}\nz 1\nccz 1 2 {n}\nz {n + 1}\n"
+        for parse in (parse_text, oracles.parse_text_reference):
+            with pytest.raises(CircuitParseError, match=f"^line 6: qubit index outside 1..{n}$"):
+                parse(text)
+        good = text.rsplit("z", 1)[0]
+        masks = (1, 3, 1 << (n - 1), (3 << (n - 2)) | 1)
+        assert parse_text(good) == oracles.parse_text_reference(good) == Circuit(n, masks)
