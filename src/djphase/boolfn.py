@@ -11,13 +11,14 @@ term).  The binary Moebius transform, its own inverse, links the two buffers.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import combinations, compress, repeat, starmap
-from operator import add, and_, or_, rshift
+from itertools import compress, repeat
+from operator import add, and_, rshift
+
+import numpy as np
 
 _DIGITS = bytes.maketrans(b"01" + b"\0\1", b"\0\1" + b"01")  # "0"/"1" <-> 0/1, both ways
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -156,16 +157,17 @@ class MonomialTable:
         return map(add, highs, map(lo.__getitem__, map(and_, masks, repeat((1 << self.low) - 1))))
 
     @cached_property
-    def gate_order(self) -> array:
+    def gate_order(self) -> np.ndarray:
         """Masks 1..2^n-1 by (min(k, 3), qubit tuple), k the popcount: `synthesize`'s order."""
-        lex: list[int] = []  # every nonzero mask by qubit tuple: (1), (1, 2), ..., (2), ...
-        for bit in (1 << k for k in range(self.n)):  # qubit n's bit first
-            lex = [bit, *map(bit.__or__, lex), *lex]
-        singles = [1 << k for k in range(self.n - 1, -1, -1)]  # qubits 1..n
-        order = array("L", singles)
-        order.extend(starmap(or_, combinations(singles, 2)))
-        order.extend(compress(lex, map((2).__lt__, map(int.bit_count, lex))))
-        return order
+        singles = 1 << np.arange(self.n - 1, -1, -1, dtype=np.intp)  # qubits 1..n
+        lex = np.zeros(0, np.intp)  # every nonzero mask by qubit tuple: (1), (1, 2), ..., (2), ...
+        count = np.zeros(0, np.uint8)  # the popcount of each
+        one = np.ones(1, np.uint8)
+        for bit in singles[::-1]:  # qubit n's bit first
+            lex = np.concatenate((bit[None], lex | bit, lex))
+            count = np.concatenate((one, count + 1, count))
+        first, second = np.triu_indices(self.n, 1)  # pairs as itertools.combinations gives them
+        return np.concatenate((singles, singles[first] | singles[second], lex[count > 2]))
 
 
 @cache

@@ -35,9 +35,7 @@ from .simulator import (
     StateVector,
     apply_circuits,
     apply_hadamard_all,
-    apply_phase_oracle,
     basis_state,
-    entanglement_diagnostics,
     probabilities,
     qubit_purity,
     stacked_diagnostics,
@@ -228,16 +226,17 @@ def classical_decide(t: TruthTable) -> ClassicalOutcome:
 
 
 def entanglement_profile(t: TruthTable) -> EntanglementProfile:
-    """Diagnostics for the refined-run state right after the oracle."""
-    state = apply_hadamard_all(basis_state(t.n, 0))
-    apply_phase_oracle(state, t)
-    return entanglement_diagnostics(state)
+    """Diagnostics for the refined-run state right after the oracle: a stack of one."""
+    return entanglement_profiles([t])[0]
 
 
 def entanglement_profiles(tables: list[TruthTable]) -> list[EntanglementProfile]:
     """entanglement_profile of each table, all on one n, from one stacked post-oracle state."""
-    bits = np.array([np.frombuffer(t.bits, dtype=np.uint8) for t in tables])
-    plus = apply_hadamard_all(basis_state(tables[0].n, 0)).amps
+    n = tables[0].n
+    if any(t.n != n for t in tables):
+        raise ValueError(f"tables on {sorted({t.n for t in tables})} qubits; a stack takes one n")
+    bits = np.frombuffer(b"".join(t.bits for t in tables), dtype=np.uint8).reshape(-1, 1 << n)
+    plus = apply_hadamard_all(basis_state(n, 0)).amps
     try:
         return stacked_diagnostics(plus * (1.0 - 2.0 * bits))
     except ValueError as exc:

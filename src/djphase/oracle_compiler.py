@@ -22,8 +22,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress
 from operator import add
+
+import numpy as np
 
 from .boolfn import Anf, FunctionClass, TruthTable, classify, mask_qubits, moebius_transform
 from .boolfn import monomial_table, qubit_mask
@@ -125,8 +126,9 @@ class Circuit:
             raise ValueError(f"qubit count must be at least 1, got {self.n}")
         ops = tuple(self.ops)
         # Masks alone, as synthesize and parse_text build them, take one C-level check;
-        # anything else goes op by op, which also names the first bad mask.
-        if {*map(type, ops)} - {int} or ops and not 0 < min(ops) <= max(ops) < 1 << self.n:
+        # anything else goes op by op, which also names the first bad mask.  The bound is a
+        # bit length: 1 << n would build an (n+1)-bit int, 500 MB for n = 4e9.
+        if {*map(type, ops)} - {int} or ops and (min(ops) < 1 or max(ops).bit_length() > self.n):
             ops = tuple(_stored(self.n, op) for op in ops)
         object.__setattr__(self, "ops", ops)
 
@@ -137,7 +139,7 @@ class Circuit:
 
 
 def _stored(n: int, op: GateOp | int) -> int | Hadamard:
-    if type(op) is int and 0 < op < 1 << n:
+    if type(op) is int and 0 < op and op.bit_length() <= n:
         return op
     if isinstance(op, GateOp) and max(op.qubits) <= n:
         return op if isinstance(op, Hadamard) else qubit_mask(n, op.qubits)
@@ -197,7 +199,7 @@ def synthesize(a: Anf) -> Circuit:
     """One phase gate per monomial but the constant 1: phase flips by qubit,
     then controlled phases by index pair, then multi-controlled Zs by control tuple."""
     order = monomial_table(a.n).gate_order
-    return Circuit(a.n, list(compress(order, map(a.coeffs.__getitem__, order))))
+    return Circuit(a.n, order[np.frombuffer(a.coeffs, bool)[order]].tolist())
 
 
 def gate_counts(c: Circuit) -> GateCounts:

@@ -1,10 +1,12 @@
 """Dense statevector simulation for diagonal-plus-Hadamard circuits.
 
-Amplitudes live in a flat complex array of length 2^n, basis states
-indexed big-endian (qubit 1 is the most significant bit), or in a (B, 2^n)
-stack of such states, one per row, which every layer treats row by row with
-the arithmetic of one state.  Qubits map to array axes through one view and
-no axis permutation: qubit q is the middle axis of
+Amplitudes live in a flat array of length 2^n, basis states indexed
+big-endian (qubit 1 is the most significant bit), or in a (B, 2^n) stack of
+such states, one per row, which every layer treats row by row with the
+arithmetic of one state.  Hadamards and phase gates are real, so
+basis_state, and with it every run, holds float64 amplitudes; every layer
+also takes complex ones.  Qubits map to array axes through one view and no
+axis permutation: qubit q is the middle axis of
 amps.reshape(..., 2^(q-1), 2, -1), behind both the Hadamard butterfly and
 every one-qubit purity; phase gates index the (2,) * n reshape in
 apply_gate.  apply_circuit runs each block of consecutive phase-gate masks
@@ -52,7 +54,7 @@ def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
     dim = 1 << n
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside 0..{dim - 1}")
-    amps = np.zeros(dim if rows is None else (rows, dim), dtype=np.complex128)
+    amps = np.zeros(dim if rows is None else (rows, dim))
     amps[..., index] = 1.0
     return StateVector(n, amps)
 
@@ -225,6 +227,9 @@ def _qubit_rows(amps: np.ndarray, q: int) -> np.ndarray:
 
 
 def _purity(m: np.ndarray) -> np.ndarray:
+    # Complex even for real rows: dgemm sums in another order than zgemm, and changes
+    # the last bits of a printed purity.
+    m = m.astype(np.complex128, copy=False)
     rho = m @ m.conj().swapaxes(-1, -2)
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 

@@ -108,12 +108,8 @@ def test_each_report_walks_once_with_one_kernel_call(report, monkeypatch):
         kernel_calls.append(amps.shape)
         return stacked_diagnostics(amps)
 
-    def unreachable(state):
-        raise AssertionError("a report diagnosed one class at a time")
-
     monkeypatch.setattr(djphase.reports, "enumerate_balanced", counted_walk)
     monkeypatch.setattr(djphase.dj_runner, "stacked_diagnostics", counted_kernel)
-    monkeypatch.setattr(djphase.dj_runner, "entanglement_diagnostics", unreachable)
     assert report(3).classes == 35
     assert walks == [3]
     assert kernel_calls == [(35, 8)]

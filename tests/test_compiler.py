@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,6 +361,14 @@ class TestMaskOnlyCircuit:
         with pytest.raises(ValueError, match=r"^9 is neither"):
             Circuit(3, (1, 9, 0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 63, 64, 65, 200])
+    def test_mask_bound_is_n_bits(self, n):
+        top = (1 << n) - 1  # every qubit
+        assert Circuit(n, (1, top)).ops == (1, top)
+        for ops in [(1 << n,), (1, 1 << n), (top + (1 << n),)]:
+            with pytest.raises(ValueError, match=f"^{ops[-1]} is neither"):
+                Circuit(n, ops)
+
 
 class TestParseText:
     # parse_text reads a line through the header's qubit lookup when it can; every line
@@ -500,3 +510,18 @@ class TestParseText:
         good = text.rsplit("z", 1)[0]
         masks = (1, 3, 1 << (n - 1), (3 << (n - 2)) | 1)
         assert parse_text(good) == oracles.parse_text_reference(good) == Circuit(n, masks)
+
+    def test_huge_qubit_count_builds_no_2_to_the_n_int(self):
+        # Circuit bounds a mask by its bit length; 1 << n would be a 500 MB int here.
+        # A fresh interpreter, so that the peak RSS is this parse's own.
+        code = (
+            "import resource\n"
+            "from djphase import parse_text\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "c = parse_text('qubits 4000000000\\nz 4000000000\\n')\n"
+            "assert c.ops == (1,), c.ops\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 50_000  # KiB on Linux

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from itertools import compress
 
+import numpy as np
 import pytest
 
 import oracles
@@ -41,6 +42,7 @@ def check(a: Anf, views: bool = False) -> None:
     monos = oracles.monomials_by_bits(coeffs, n)
     qubits = dict(zip(compress(range(1 << n), coeffs), monos))
     c = synthesize(a)
+    assert {type(op) for op in c.ops} <= {int}  # Circuit's bulk check reads Python ints
     assert [qubits[op] for op in c.ops] == oracles.gate_order(monos)
     assert a.render() == oracles.render(monos)
     assert emit_text(c) == oracles.emit_text(n, c.ops)
@@ -82,6 +84,19 @@ def test_gate_order_over_every_qubit_tuple(n):
     every = [oracles.mask_bits(m, n) for m in range(1, 1 << n)]
     order = [oracles.mask_bits(m, n) for m in monomial_table(n).gate_order]
     assert order == oracles.gate_order(every)
+
+
+@pytest.mark.parametrize("n", [13, 16, 20])
+def test_gate_order_against_the_lexicographic_rank(n):
+    # Past the every-tuple cases' n = 12: mask m of popcount k is the rank-th nonempty
+    # qubit tuple in lexicographic order, rank = 2^n - m - (m & -m) + k - 1 in closed form.
+    m = np.arange(1, 1 << n, dtype=np.int64)
+    k = sum((m >> j) & 1 for j in range(n))
+    rank = (1 << n) - m - (m & -m) + k - 1
+    assert np.array_equal(np.sort(rank), np.arange((1 << n) - 1))
+    order = monomial_table(n).gate_order
+    assert order.dtype == np.intp
+    assert np.array_equal(order, m[np.lexsort((rank, np.minimum(k, 3)))])
 
 
 @pytest.mark.parametrize("n", [17, 20])

@@ -22,10 +22,12 @@ from djphase import (
     classify,
     entanglement_profile,
     enumerate_balanced,
+    moebius_transform,
     parse_truth_table,
     run_original,
     run_refined,
     run_verification,
+    synthesize,
     zero_amplitude_formula,
 )
 
@@ -71,6 +73,29 @@ class TestRunRefined:
         out = run_refined(TruthTable(20, bytes(1 << 20)), tol=1e-12)
         assert out.verdict == Verdict.CONSTANT
         assert 1.0 - 1e-12 <= out.zero_amplitude <= 1.0
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_wide_balanced_run_against_parity_sums(self, n):
+        # Past the exhaustive sizes, on a seeded balanced table.  Amplitude a of the final
+        # state is sum_x (-1)^(f(x) + a.x) / 2^n, and the circuit's masks hold f(x) + f(0)
+        # as the parity of the masks inside x: both taken by bit tests, with no butterfly.
+        rng = np.random.default_rng(1300 + n)
+        f = np.zeros(1 << n, dtype=np.uint8)
+        f[rng.permutation(1 << n)[: 1 << (n - 1)]] = 1
+        t = TruthTable(n, f.tobytes())
+        out = run_refined(t)
+        assert out.verdict == Verdict.BALANCED
+        assert out.final_amplitudes.dtype == np.float64
+        assert abs(out.zero_amplitude - zero_amplitude_formula(t)) <= 1e-12
+        x = np.arange(1 << n)
+        for a in [0, *rng.integers(1, 1 << n, 2).tolist()]:
+            dot = sum((x & a) >> j & 1 for j in range(n)) & 1
+            want = (1 << n) - 2 * np.count_nonzero(f ^ dot)
+            assert abs(out.final_amplitudes[a] - want / (1 << n)) <= 1e-12, a
+        masks = np.array(synthesize(moebius_transform(t)).ops, dtype=np.int64)
+        for point in rng.integers(0, 1 << n, 32).tolist():
+            inside = np.count_nonzero((point & masks) == masks)
+            assert inside % 2 == f[point] ^ f[0], point
 
     def test_size_limit_checked_before_transform(self, monkeypatch):
         def unreachable(t):
@@ -161,10 +186,10 @@ class TestRunOriginal:
             assert np.all(run_original(t).final_amplitudes[0::2] == 0), t.text
 
     def test_purity_reads_only_the_working_qubit(self, monkeypatch):
-        def unreachable(state):
+        def unreachable(amps):
             raise AssertionError("run_original ran the all-qubit diagnostics")
 
-        monkeypatch.setattr(djphase.dj_runner, "entanglement_diagnostics", unreachable)
+        monkeypatch.setattr(djphase.dj_runner, "stacked_diagnostics", unreachable)
         promise = [*enumerate_balanced(3), TruthTable(3, (0,) * 8), TruthTable(3, (1,) * 8)]
         for t in promise:
             out = run_original(t)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import djphase.dj_runner
+import djphase.simulator
 from djphase import (
     Circuit,
     Hadamard,
@@ -22,7 +23,8 @@ from djphase import (
     zero_amplitude_formula,
 )
 from djphase.cli import _histograms
-from djphase.dj_runner import run_tables
+from djphase.dj_runner import entanglement_profiles, run_tables
+from djphase.reports import canonical_balanced
 from test_runner import hadamard_where_f_is_1
 
 RUNNERS = {Mode.REFINED: run_refined, Mode.ORIGINAL: run_original}
@@ -113,3 +115,33 @@ def test_a_bad_table_stops_the_batch_before_any_run(monkeypatch):
     tables = [parse_truth_table("0110"), parse_truth_table("0111")]
     with pytest.raises(djphase.dj_runner.PromiseViolationError, match="0111"):
         run_tables(tables, Mode.REFINED)
+
+
+def _complex_basis_state(*args, **kwargs):
+    state = djphase.simulator.basis_state(*args, **kwargs)
+    return djphase.simulator.StateVector(state.n, state.amps.astype(np.complex128))
+
+
+def test_real_runs_print_the_floats_of_complex_runs(monkeypatch):
+    # Runs hold float64 states.  Every float a run or a census prints, the purities that
+    # the golden digests leave out included, must keep the bits of a complex128 run.
+    rng = random.Random(1976)
+    tables = mixed_tables() + [_balanced(n, rng) for n in (12, 12, 16)]
+    census = [canonical_balanced(n) for n in (2, 3, 4)]
+    real = {mode: run_tables(tables, mode) for mode in Mode}
+    real_census = [entanglement_profiles(c) for c in census]
+    monkeypatch.setattr(djphase.dj_runner, "basis_state", _complex_basis_state)
+    for mode in Mode:
+        for t, want, out in zip(tables, real[mode], run_tables(tables, mode)):
+            assert want.final_amplitudes.dtype == np.float64
+            assert out.final_amplitudes.dtype == np.complex128
+            assert not out.final_amplitudes.imag.any(), t.text
+            assert _bits(out.zero_amplitude) == _bits(want.zero_amplitude), t.text
+            assert np.array_equal(_bits(out.final_amplitudes.real), _bits(want.final_amplitudes))
+            assert np.array_equal(_bits(out.final_probabilities), _bits(want.final_probabilities))
+            if mode == Mode.ORIGINAL:
+                assert _bits(out.working_qubit_purity) == _bits(want.working_qubit_purity), t.text
+    for tables_n, want in zip(census, real_census):
+        got = entanglement_profiles(tables_n)
+        assert np.array_equal(_bits([p.purities for p in got]), _bits([p.purities for p in want]))
+        assert got == want
