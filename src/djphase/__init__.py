@@ -6,6 +6,7 @@ from .boolfn import (
     TruthTable,
     TruthTableError,
     all_truth_tables,
+    anf_texts,
     anf_to_truth_table,
     canonical,
     classify,
@@ -13,6 +14,7 @@ from .boolfn import (
     degree,
     enumerate_balanced,
     moebius_transform,
+    moebius_transforms,
     parse_truth_table,
 )
 from .oracle_compiler import (
@@ -27,11 +29,13 @@ from .oracle_compiler import (
     PhaseFlip,
     PhaseGate,
     SynthesisReport,
+    circuit_texts,
     classify_construction,
     emit_text,
     gate_counts,
     parse_text,
     synthesis_report,
+    synthesis_reports,
     synthesize,
 )
 from .reports import (

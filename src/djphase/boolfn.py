@@ -6,7 +6,9 @@ f(b1 b2 ... bn), where b1, the most significant bit of i, is qubit 1's value.
 Its algebraic normal form, the unique XOR of monomials equal to f, is stored
 the same way: coefficient byte i is 1 when the monomial on the qubits whose
 bits are set in i is present (bit n-j is qubit j; byte 0 is the constant-1
-term).  The binary Moebius transform, its own inverse, links the two buffers.
+term).  The binary Moebius transform, its own inverse, links the two buffers;
+it runs as one numpy XOR butterfly, on bits packed 8 to a byte, over any stack
+of tables on one n.
 """
 
 from __future__ import annotations
@@ -107,13 +109,37 @@ class Anf:
 
     def render(self) -> str:
         """Human-readable polynomial by degree, then qubits: ``x3 + x1*x2``; ``0`` when empty."""
-        table = monomial_table(self.n)
-        # Within a degree, qubit-tuple order is descending mask order, so a stable sort by degree.
-        masks = sorted(compress(range(len(self.coeffs) - 1, -1, -1), self.coeffs[::-1]),
-                       key=int.bit_count)
-        # " 1 2+ 3" -> "*x1*x2 + x3"; the constant term, mask 0, comes first as "".
-        text = "+".join(table.join(table.args, masks)).replace(" ", "*x").replace("+*", " + ")
-        return ("1" + text if self.coeffs[0] else text[1:]) or "0"
+        return anf_texts([self])[0]
+
+
+def anf_texts(anfs: Sequence[Anf]) -> list[str]:
+    """Anf.render of each ANF: per n, one pass over the present masks of all of them."""
+    texts: list = [None] * len(anfs)
+    for n, rows in positions_by([a.n for a in anfs]).items():
+        table = monomial_table(n)
+        coeffs = np.frombuffer(b"".join(anfs[i].coeffs for i in rows), bool)
+        row_of, col = np.nonzero(coeffs.reshape(len(rows), -1)[:, ::-1])
+        masks = (1 << n) - 1 - col  # each row's masks, descending
+        degrees = np.fromiter(map(int.bit_count, masks.tolist()), np.intp, len(masks))
+        # Within a degree, qubit-tuple order is descending mask order, so a stable sort
+        # by (row, degree).
+        by_degree = np.argsort(row_of * (n + 1) + degrees, kind="stable")
+        terms = list(table.join(table.args, masks[by_degree].tolist()))
+        start = 0
+        for i, end in zip(rows, np.bincount(row_of, minlength=len(rows)).cumsum().tolist()):
+            # " 1 2+ 3" -> "*x1*x2 + x3"; the constant term, mask 0, comes first as "".
+            text = "+".join(terms[start:end]).replace(" ", "*x").replace("+*", " + ")
+            texts[i] = ("1" + text if anfs[i].coeffs[0] else text[1:]) or "0"
+            start = end
+    return texts
+
+
+def positions_by(keys: Iterable) -> dict:
+    """The positions of each distinct key, keys in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -209,19 +235,51 @@ def classify(t: TruthTable) -> FunctionClass:
     return FunctionClass.OTHER
 
 
+def _xor_halves(b: np.ndarray, axes: int) -> np.ndarray:
+    # XOR the lower half into the upper half along each of b's `axes` lowest bit axes.
+    for q in range(axes):
+        v = b.reshape(-1, 2, 1 << q)
+        upper = v[:, 1]
+        upper ^= v[:, 0]
+    return b
+
+
+# _IN_BYTE[k][v]: the 8 bits of byte v, most significant first, taken through their
+# k lowest axes.
+_IN_BYTE = [np.packbits(_xor_halves(np.unpackbits(np.arange(256, dtype=np.uint8)), k))
+            for k in range(4)]
+
+
 def _butterfly(bits: bytes, n: int) -> bytes:
-    # XOR the lower half into the upper half along each bit axis, with byte i
-    # at bits 8i..8i+7 of one int: the binary Moebius transform, self-inverse.
-    x = int.from_bytes(bits, "little")
-    for step in (1 << k for k in range(n)):
-        lower = int.from_bytes((b"\1" * step + bytes(step)) * (len(bits) // (2 * step)), "little")
-        x ^= (x & lower) << (8 * step)
-    return x.to_bytes(len(bits), "little")
+    # The binary Moebius transform, self-inverse, of every 2^n-byte table that `bits`
+    # joins, on its bits packed 8 to a byte: one lookup for the (up to 3) axes inside a
+    # byte, whose 8 entries hold whole tables when n < 3, then the XOR butterfly over
+    # whole bytes for the other n - 3.
+    packed = _IN_BYTE[min(n, 3)][np.packbits(np.frombuffer(bits, np.uint8))]
+    return np.unpackbits(_xor_halves(packed, n - 3), count=len(bits)).tobytes()
+
+
+def moebius_stacks(tables: Sequence[TruthTable]) -> Iterator[tuple[list[int], bytes, list[Anf]]]:
+    """Per n of `tables`, first seen first: the positions of its tables, their ANF
+    coefficients joined, from one butterfly call, and their ANFs."""
+    for n, rows in positions_by([t.n for t in tables]).items():
+        coeffs, size = _butterfly(b"".join([tables[i].bits for i in rows]), n), 1 << n
+        starts = range(0, len(coeffs), size)
+        yield rows, coeffs, [_fill(object.__new__(Anf), n, coeffs[s : s + size]) for s in starts]
+
+
+def moebius_transforms(tables: Sequence[TruthTable]) -> list[Anf]:
+    """Each table's ANF, with one butterfly call over the joined tables of each n."""
+    out: list = [None] * len(tables)
+    for rows, _, anfs in moebius_stacks(tables):
+        for i, a in zip(rows, anfs):
+            out[i] = a
+    return out
 
 
 def moebius_transform(t: TruthTable) -> Anf:
-    """Truth table to ANF via the butterfly over each bit axis."""
-    return _fill(object.__new__(Anf), t.n, _butterfly(t.bits, t.n))
+    """Truth table to ANF: moebius_transforms' stack of one."""
+    return moebius_transforms([t])[0]
 
 
 def anf_to_truth_table(a: Anf) -> TruthTable:
@@ -244,11 +302,6 @@ def canonical(t: TruthTable) -> TruthTable:
     return t if t.bits[0] == 0 else complement(t)
 
 
-def _table(n: int, value: int) -> TruthTable:
-    # Entry 0 is the most significant of the 2^n bits of value.
-    return TruthTable(n, format(value, f"0{1 << n}b").encode().translate(_DIGITS))
-
-
 def enumerate_balanced(n: int) -> list[TruthTable]:
     """All truth tables of weight 2^(n-1), ascending by bit-sequence value.
 
@@ -257,11 +310,16 @@ def enumerate_balanced(n: int) -> list[TruthTable]:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"balanced enumeration supports 2 <= n <= 4, got {n}")
-    half = 1 << (n - 1)
-    return [_table(n, value) for value in range(1 << (1 << n)) if value.bit_count() == half]
+    size = 1 << n
+    # Each value's 16 bits, most significant first; a table is the last 2^n of them.
+    values = np.arange(1 << size, dtype=np.uint16).astype(">u2")
+    bits = np.unpackbits(values.view(np.uint8)).reshape(-1, 16)[:, 16 - size :]
+    data = bits[bits.sum(axis=1, dtype=np.uint8) == size // 2].tobytes()
+    return [TruthTable(n, data[i : i + size]) for i in range(0, len(data), size)]
 
 
 def all_truth_tables(n: int):
     """Yield every truth table on n inputs, ascending by bit-sequence value."""
     for value in range(1 << (1 << n)):
-        yield _table(n, value)
+        # Entry 0 is the most significant of the 2^n bits of value.
+        yield TruthTable(n, format(value, f"0{1 << n}b").encode().translate(_DIGITS))

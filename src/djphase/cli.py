@@ -34,7 +34,7 @@ from itertools import islice
 import numpy as np
 
 from .boolfn import TruthTable, TruthTableError, parse_truth_table
-from .oracle_compiler import CircuitParseError, emit_text, synthesis_report
+from .oracle_compiler import CircuitParseError, circuit_texts, report_dicts, synthesis_reports
 from .reports import entanglement_survey, enumeration_report
 from .dj_runner import (
     VERDICT_TOL,
@@ -191,17 +191,28 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     for t in tables:
         if t.n > MAX_QUBITS:
             raise ValueError(f"synth supports n <= {MAX_QUBITS}, got n={t.n}")
-    single = args.truth is not None
-    reports = map(synthesis_report, tables)
-    if args.format == "json":
-        payloads = [{**r.as_dict(), "dropped_global_sign": r.dropped_global_sign} for r in reports]
-        return _json_text(payloads[0] if single else payloads), EXIT_OK
-    # The text view is the circuit text format itself; the JSON dict would render
-    # every ANF only to drop it.
-    if single:
-        return emit_text(next(reports).circuit), EXIT_OK
-    blocks = [f"# table {r.truth_table.text}\n" + emit_text(r.circuit) for r in reports]
-    return "\n".join(blocks), EXIT_OK
+    single, as_json = args.truth is not None, args.format == "json"
+    # One `stacks` stack at a time, as runs split them, so that only its circuits are
+    # alive at once: a table of n >= 16 is synthesized alone.
+    items: list = [None] * len(tables)
+    for rows in stacks([1 << t.n for t in tables]):
+        reports = synthesis_reports([tables[i] for i in rows])
+        if as_json:
+            stack = [
+                {**d, "dropped_global_sign": r.dropped_global_sign}
+                for r, d in zip(reports, report_dicts(reports))
+            ]
+        else:
+            # The text view is the circuit text format itself, one block per table of a
+            # file; the JSON dict would render every ANF only to drop it.
+            stack = circuit_texts([r.circuit for r in reports])
+            if not single:
+                stack = [f"# table {r.truth_table.text}\n" + s for r, s in zip(reports, stack)]
+        for i, item in zip(rows, stack):
+            items[i] = item
+    if as_json:
+        return _json_text(items[0] if single else items), EXIT_OK
+    return items[0] if single else "\n".join(items), EXIT_OK
 
 
 def _histograms(probs: list[np.ndarray], shots: int, seed: int) -> list[dict[str, int]]:

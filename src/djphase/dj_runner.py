@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boolfn import FunctionClass, TruthTable, classify, moebius_transform
+from .boolfn import FunctionClass, TruthTable, classify, moebius_transforms
 from .oracle_compiler import SelfCheckError, synthesize
 from .simulator import (
     MAX_QUBITS,
@@ -121,7 +121,7 @@ def _read_out(total: float, zero: float, purity: float | None, tol: float) -> Ve
 
 def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
     """One oracle query on n qubits per row, each with its table's synthesized circuit."""
-    anfs = [moebius_transform(t) for t in tables]
+    anfs = moebius_transforms(tables)
     state = apply_hadamard_all(basis_state(tables[0].n, 0, rows=len(tables)))
     apply_circuits(state, [synthesize(a) for a in anfs])
     apply_hadamard_all(state)

@@ -6,7 +6,9 @@ monomial's qubits: a singleton {j} is a phase flip on qubit j, a pair
 A `Circuit` stores each phase gate as its monomial's index in `Anf.coeffs`.
 The constant-1 term only contributes a global factor of -1, which a
 phase oracle cannot expose, so it is dropped and recorded in the
-synthesis report.
+synthesis report.  `synthesis_reports` and `circuit_texts` take a list of
+any n and work one (B, 2^n) stack per n; `synthesis_report` and
+`emit_text` are their stack of one.
 
 Circuits round-trip through a line-oriented text format:
 
@@ -19,15 +21,15 @@ One gate per line, `#` starts a comment, qubit indices are 1-based.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import add
 
 import numpy as np
 
-from .boolfn import Anf, FunctionClass, TruthTable, classify, mask_qubits, moebius_transform
-from .boolfn import monomial_table, qubit_mask
+from .boolfn import Anf, FunctionClass, TruthTable, anf_texts, classify, mask_qubits
+from .boolfn import moebius_stacks, monomial_table, positions_by, qubit_mask
 
 
 class CircuitParseError(ValueError):
@@ -184,22 +186,37 @@ class SynthesisReport:
     construction_type: ConstructionType | None
     dropped_global_sign: bool
 
-    def as_dict(self) -> dict:
-        """The fields shared by `synth --format json` and census rows."""
-        return {
-            "truth_table": self.truth_table.text,
-            "anf": self.anf.render(),
-            "circuit": emit_text(self.circuit),
-            "type": int(self.construction_type) if self.construction_type is not None else None,
-            "gate_counts": self.counts.as_dict(),
+
+def report_dicts(reports: Sequence[SynthesisReport]) -> list[dict]:
+    """The fields of each report that `synth --format json` and census rows share, with
+    the ANF and circuit texts of all of them from one call each."""
+    anfs = anf_texts([r.anf for r in reports])
+    circuits = circuit_texts([r.circuit for r in reports])
+    return [
+        {
+            "truth_table": r.truth_table.text,
+            "anf": anf,
+            "circuit": circuit,
+            "type": int(r.construction_type) if r.construction_type is not None else None,
+            "gate_counts": r.counts.as_dict(),
         }
+        for r, anf, circuit in zip(reports, anfs, circuits)
+    ]
 
 
 def synthesize(a: Anf) -> Circuit:
     """One phase gate per monomial but the constant 1: phase flips by qubit,
     then controlled phases by index pair, then multi-controlled Zs by control tuple."""
-    order = monomial_table(a.n).gate_order
-    return Circuit(a.n, order[np.frombuffer(a.coeffs, bool)[order]].tolist())
+    return Circuit(a.n, _gate_masks(a.n, a.coeffs)[1])
+
+
+def _gate_masks(n: int, coeffs: bytes) -> tuple[np.ndarray, list[int]]:
+    # For the ANFs on n qubits that `coeffs` joins, one gather over the gate order of
+    # all of them: the flat positions, row * (2^n - 1) + column, of each present mask
+    # in a (B, 2^n - 1) array, and the masks themselves.
+    order = monomial_table(n).gate_order
+    flat = np.frombuffer(coeffs, bool).reshape(-1, 1 << n).take(order, axis=1).ravel().nonzero()[0]
+    return flat, order[flat % len(order)].tolist()
 
 
 def gate_counts(c: Circuit) -> GateCounts:
@@ -216,7 +233,10 @@ def classify_construction(c: Circuit) -> ConstructionType:
     """
     if c.n != 3:
         raise ValueError(f"construction types are defined for 3 qubits, got {c.n}")
-    counts = gate_counts(c)
+    return _construction_type(gate_counts(c))
+
+
+def _construction_type(counts: GateCounts) -> ConstructionType:
     if counts.mcz or counts.h:
         raise ValueError("construction types cover z/cz circuits only")
     if counts.cz > 3:
@@ -224,35 +244,63 @@ def classify_construction(c: Circuit) -> ConstructionType:
     return ConstructionType(1 + counts.cz)
 
 
+def synthesis_reports(tables: Sequence[TruthTable]) -> list[SynthesisReport]:
+    """Each table's synthesis_report: per n, one Moebius butterfly and one gate-order gather.
+
+    The gate order lists the n singles, then the n(n-1)/2 pairs, then the rest, so
+    each row's gate counts are its present masks in three slices of it.
+    """
+    reports: list = [None] * len(tables)
+    for rows, coeffs, anfs in moebius_stacks(tables):
+        n = anfs[0].n
+        positions, masks = _gate_masks(n, coeffs)
+        # Where each row's singles, pairs and rest end among the present positions.
+        width = (1 << n) - 1
+        cuts = [k * width + c for k in range(len(rows)) for c in (n, n * (n + 1) // 2, width)]
+        ends = positions.searchsorted(cuts)
+        start = 0
+        for i, a, (singles, pairs, end) in zip(rows, anfs, ends.reshape(-1, 3).tolist()):
+            t = tables[i]
+            counts = GateCounts(singles - start, pairs - singles, end - pairs)
+            ctype = None
+            if n == 3 and classify(t) == FunctionClass.BALANCED:
+                try:
+                    ctype = _construction_type(counts)
+                except ValueError as exc:
+                    # Every balanced n=3 ANF has degree <= 2: a rejected one is wrong.
+                    raise SelfCheckError(str(exc)) from exc
+            circuit = Circuit(n, masks[start:end])
+            reports[i] = SynthesisReport(t, a, circuit, counts, ctype, a.has_constant_term)
+            start = end
+    return reports
+
+
 def synthesis_report(t: TruthTable) -> SynthesisReport:
-    """Synthesize t and bundle the artifacts one consumer step needs."""
-    a = moebius_transform(t)
-    c = synthesize(a)
-    ctype = None
-    if t.n == 3 and classify(t) == FunctionClass.BALANCED:
-        try:
-            ctype = classify_construction(c)
-        except ValueError as exc:
-            # Every balanced n=3 ANF has degree <= 2, so a rejected circuit means a wrong ANF.
-            raise SelfCheckError(str(exc)) from exc
-    return SynthesisReport(
-        truth_table=t,
-        anf=a,
-        circuit=c,
-        counts=gate_counts(c),
-        construction_type=ctype,
-        dropped_global_sign=a.has_constant_term,
-    )
+    """Synthesize t and bundle the artifacts one consumer step needs: a stack of one."""
+    return synthesis_reports([t])[0]
 
 
 def emit_text(c: Circuit) -> str:
     """Serialize to the line format; every line ends with a newline."""
-    table = monomial_table(c.n)
-    masks = [op for op in c.ops if type(op) is int]
-    names = map(table.mnemonics.__getitem__, map(int.bit_count, masks))
-    gates = map(add, names, table.join(table.args, masks))
-    lines = [next(gates) if type(op) is int else f"h {op.qubit}" for op in c.ops]
-    return "\n".join([f"qubits {c.n}", *lines, ""])
+    return circuit_texts([c])[0]
+
+
+def circuit_texts(circuits: Sequence[Circuit]) -> list[str]:
+    """emit_text of each circuit: per n, one pass over the gates of all of them."""
+    texts: list = [None] * len(circuits)
+    for n, rows in positions_by([c.n for c in circuits]).items():
+        table = monomial_table(n)
+        ops = [op for i in rows for op in circuits[i].ops]
+        masks = [op for op in ops if type(op) is int]
+        names = map(table.mnemonics.__getitem__, map(int.bit_count, masks))
+        gates = map(add, names, table.join(table.args, masks))
+        lines = [next(gates) if type(op) is int else f"h {op.qubit}" for op in ops]
+        head, start = f"qubits {n}", 0
+        for i in rows:
+            end = start + len(circuits[i].ops)
+            texts[i] = "\n".join([head, *lines[start:end], ""])
+            start = end
+    return texts
 
 
 def _parse_indices(parts: list[str], lineno: int) -> list[int]:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .boolfn import TruthTable, enumerate_balanced
-from .oracle_compiler import SynthesisReport, synthesis_report
+from .oracle_compiler import SynthesisReport, report_dicts, synthesis_reports
 from .dj_runner import EntanglementProfile, entanglement_profiles, zero_amplitude_formula
 
 
@@ -22,13 +22,6 @@ class EnumerationRow:
     report: SynthesisReport
     zero_amplitude: float
     fully_product: bool
-
-    def as_dict(self) -> dict:
-        return {
-            **self.report.as_dict(),
-            "zero_amplitude": self.zero_amplitude,
-            "fully_product": self.fully_product,
-        }
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,10 @@ class EnumerationReport:
                 if self.type_counts is not None
                 else None
             ),
-            "rows": [row.as_dict() for row in self.rows],
+            "rows": [
+                {**report, "zero_amplitude": row.zero_amplitude, "fully_product": row.fully_product}
+                for row, report in zip(self.rows, report_dicts([row.report for row in self.rows]))
+            ],
         }
 
 
@@ -56,15 +52,16 @@ def canonical_balanced(n: int) -> list[TruthTable]:
     return [t for t in enumerate_balanced(n) if t.bits[0] == 0]
 
 
-def _census(n: int) -> list[tuple[TruthTable, EntanglementProfile]]:
+def _census(n: int) -> tuple[list[TruthTable], list[EntanglementProfile]]:
     tables = canonical_balanced(n)
-    return list(zip(tables, entanglement_profiles(tables)))
+    return tables, entanglement_profiles(tables)
 
 
 def enumeration_report(n: int) -> EnumerationReport:
+    tables, profiles = _census(n)
     rows = tuple(
-        EnumerationRow(synthesis_report(t), zero_amplitude_formula(t), profile.fully_product)
-        for t, profile in _census(n)
+        EnumerationRow(report, zero_amplitude_formula(t), profile.fully_product)
+        for t, report, profile in zip(tables, synthesis_reports(tables), profiles)
     )
     types = dict(Counter(int(row.report.construction_type) for row in rows)) if n == 3 else None
     return EnumerationReport(
@@ -106,15 +103,15 @@ class EntanglementSurvey:
 
 def entanglement_survey(n: int) -> EntanglementSurvey:
     """Post-oracle entanglement across canonical balanced classes."""
+    tables, profiles = _census(n)
     # Construction types exist only for n = 3, where every class has one.
+    if n == 3:
+        types = [int(r.construction_type) for r in synthesis_reports(tables)]
+    else:
+        types = [None] * len(tables)
     rows = tuple(
-        SurveyRow(
-            truth_table=t,
-            construction_type=int(synthesis_report(t).construction_type) if n == 3 else None,
-            purities=profile.purities,
-            fully_product=profile.fully_product,
-        )
-        for t, profile in _census(n)
+        SurveyRow(t, ctype, profile.purities, profile.fully_product)
+        for t, ctype, profile in zip(tables, types, profiles)
     )
     product = sum(row.fully_product for row in rows)
     return EntanglementSurvey(

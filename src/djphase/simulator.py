@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .boolfn import TruthTable
+from .boolfn import TruthTable, positions_by
 from .oracle_compiler import Circuit, GateOp, Hadamard
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -62,11 +62,8 @@ def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
 def stacks(widths: list[int]) -> list[list[int]]:
     """Positions of equal widths, grouped in first-seen order, split into stacks of at
     most MAX_STACK_AMPLITUDES entries (a wider one alone)."""
-    groups: dict[int, list[int]] = {}
-    for i, width in enumerate(widths):
-        groups.setdefault(width, []).append(i)
     out = []
-    for width, rows in groups.items():
+    for width, rows in positions_by(widths).items():
         step = max(1, MAX_STACK_AMPLITUDES // width)
         out += [rows[i : i + step] for i in range(0, len(rows), step)]
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolfn import FunctionClass, all_truth_tables, classify, moebius_transform
+from .boolfn import FunctionClass, all_truth_tables, classify, moebius_transforms
 from .oracle_compiler import synthesize
 from .reports import enumeration_report
 from .dj_runner import (
@@ -52,8 +52,7 @@ def _result(name: str, failures: list[str], passing_detail: str) -> CheckResult:
 def _check_oracle_equivalence(tol: float) -> CheckResult:
     tables = list(all_truth_tables(3))
     failures = []
-    for t in tables:
-        anf = moebius_transform(t)
+    for t, anf in zip(tables, moebius_transforms(tables)):
         eq = equivalent_diagonal(synthesize(anf), t, tol=tol)
         expected_sign = -1 if anf.has_constant_term else 1
         if not eq.match or eq.global_sign != expected_sign:

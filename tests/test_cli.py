@@ -76,9 +76,9 @@ class TestSynth:
     @pytest.mark.parametrize("source", ["--truth", "--truth-file"])
     def test_oversized_table_rejected_before_work(self, capsys, monkeypatch, tmp_path, source):
         def unreachable(t):
-            raise AssertionError("synthesis_report ran before every table was size-checked")
+            raise AssertionError("synthesis_reports ran before every table was size-checked")
 
-        monkeypatch.setattr("djphase.cli.synthesis_report", unreachable)
+        monkeypatch.setattr("djphase.cli.synthesis_reports", unreachable)
         oversized = "0" * (1 << 21)
         if source == "--truth":
             arg = oversized
@@ -248,9 +248,9 @@ class TestRun:
 
     def test_oversized_table_rejected_before_work(self, capsys, monkeypatch):
         def unreachable(t):
-            raise AssertionError("moebius_transform ran on an oversized table")
+            raise AssertionError("moebius_transforms ran on an oversized table")
 
-        monkeypatch.setattr(djphase.dj_runner, "moebius_transform", unreachable)
+        monkeypatch.setattr(djphase.dj_runner, "moebius_transforms", unreachable)
         code, out, err = run_cli(capsys, "run", "--truth", "0" * (1 << 21))
         assert code == 2
         assert out == ""

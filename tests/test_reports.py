@@ -19,9 +19,9 @@ def test_survey_types_match_census_and_synthesize_only_for_n3(monkeypatch):
     assert Counter(types) == {1: 7, 2: 12, 3: 12, 4: 4}
 
     def unreachable(t):
-        raise AssertionError("synthesis_report ran for a survey with n != 3")
+        raise AssertionError("synthesis_reports ran for a survey with n != 3")
 
-    monkeypatch.setattr(djphase.reports, "synthesis_report", unreachable)
+    monkeypatch.setattr(djphase.reports, "synthesis_reports", unreachable)
     survey = entanglement_survey(2)
     assert survey.classes == 3
     assert all(row.construction_type is None for row in survey.rows)

@@ -99,9 +99,9 @@ class TestRunRefined:
 
     def test_size_limit_checked_before_transform(self, monkeypatch):
         def unreachable(t):
-            raise AssertionError("moebius_transform ran on an oversized table")
+            raise AssertionError("moebius_transforms ran on an oversized table")
 
-        monkeypatch.setattr(djphase.dj_runner, "moebius_transform", unreachable)
+        monkeypatch.setattr(djphase.dj_runner, "moebius_transforms", unreachable)
         with pytest.raises(ValueError, match="n <= 20"):
             run_refined(TruthTable(21, (0,) * (1 << 21)))
 
@@ -144,7 +144,7 @@ class TestTolRange:
         def unreachable(t):
             raise AssertionError("a suite ran before the tol check")
 
-        monkeypatch.setattr(djphase.verify, "moebius_transform", unreachable)
+        monkeypatch.setattr(djphase.verify, "moebius_transforms", unreachable)
         monkeypatch.setattr(djphase.verify, "run_refined", unreachable)
         with pytest.raises(ValueError, match=r"1e-12 <= tol < 0\.5"):
             run_verification(tol=tol)
