@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import compress, repeat
-from operator import add, and_, rshift
+from operator import add, and_, index, rshift
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class Anf:
         for mono in map(frozenset, monomials):
             if any(j not in range(1, n + 1) for j in mono):
                 raise ValueError(f"monomial {sorted(mono)} outside qubits 1..{n}")
-            coeffs[qubit_mask(n, mono)] = 1
+            coeffs[qubit_mask(n, map(index, mono))] = 1  # 1.0 passes the range test
         _fill(self, n, bytes(coeffs))
 
     def terms(self) -> Iterator[tuple[int, ...]]:
@@ -113,17 +113,17 @@ class Anf:
 
 
 def anf_texts(anfs: Sequence[Anf]) -> list[str]:
-    """Anf.render of each ANF: per n, one pass over the present masks of all of them."""
+    """Anf.render of each ANF: one pass over the present masks of each `stacks` stack."""
     texts: list = [None] * len(anfs)
-    for n, rows in positions_by([a.n for a in anfs]).items():
-        table = monomial_table(n)
+    for rows in stacks([1 << a.n for a in anfs]):
+        table = monomial_table(anfs[rows[0]].n)
         coeffs = np.frombuffer(b"".join(anfs[i].coeffs for i in rows), bool)
         row_of, col = np.nonzero(coeffs.reshape(len(rows), -1)[:, ::-1])
-        masks = (1 << n) - 1 - col  # each row's masks, descending
+        masks = (1 << table.n) - 1 - col  # each row's masks, descending
         degrees = np.fromiter(map(int.bit_count, masks.tolist()), np.intp, len(masks))
         # Within a degree, qubit-tuple order is descending mask order, so a stable sort
         # by (row, degree).
-        by_degree = np.argsort(row_of * (n + 1) + degrees, kind="stable")
+        by_degree = np.argsort(row_of * (table.n + 1) + degrees, kind="stable")
         terms = list(table.join(table.args, masks[by_degree].tolist()))
         start = 0
         for i, end in zip(rows, np.bincount(row_of, minlength=len(rows)).cumsum().tolist()):
@@ -134,12 +134,22 @@ def anf_texts(anfs: Sequence[Anf]) -> list[str]:
     return texts
 
 
-def positions_by(keys: Iterable) -> dict:
-    """The positions of each distinct key, keys in first-seen order."""
+# Entries of one stack, for every stacked form: the four n=16 tables of a file ran
+# refined in about 36 ms as four stacks and in 47-63 ms as one, so a table this wide runs alone.
+MAX_STACK_AMPLITUDES = 1 << 16
+
+
+def stacks(widths: Iterable[int]) -> list[list[int]]:
+    """Positions of equal widths, grouped in first-seen order, split into stacks of at
+    most MAX_STACK_AMPLITUDES entries (a wider one alone)."""
     groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
+    for i, width in enumerate(widths):
+        groups.setdefault(width, []).append(i)
+    out = []
+    for width, rows in groups.items():
+        step = max(1, MAX_STACK_AMPLITUDES // width)
+        out += [rows[i : i + step] for i in range(0, len(rows), step)]
+    return out
 
 
 def qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -259,20 +269,20 @@ def _butterfly(bits: bytes, n: int) -> bytes:
     return np.unpackbits(_xor_halves(packed, n - 3), count=len(bits)).tobytes()
 
 
-def moebius_stacks(tables: Sequence[TruthTable]) -> Iterator[tuple[list[int], bytes, list[Anf]]]:
-    """Per n of `tables`, first seen first: the positions of its tables, their ANF
-    coefficients joined, from one butterfly call, and their ANFs."""
-    for n, rows in positions_by([t.n for t in tables]).items():
-        coeffs, size = _butterfly(b"".join([tables[i].bits for i in rows]), n), 1 << n
-        starts = range(0, len(coeffs), size)
-        yield rows, coeffs, [_fill(object.__new__(Anf), n, coeffs[s : s + size]) for s in starts]
+def moebius_stack(tables: Sequence[TruthTable]) -> tuple[bytes, list[Anf]]:
+    """One butterfly call over tables all on one n: their ANF coefficients joined, and
+    their ANFs."""
+    n, size = tables[0].n, 1 << tables[0].n
+    coeffs = _butterfly(b"".join([t.bits for t in tables]), n)
+    starts = range(0, len(coeffs), size)
+    return coeffs, [_fill(object.__new__(Anf), n, coeffs[s : s + size]) for s in starts]
 
 
 def moebius_transforms(tables: Sequence[TruthTable]) -> list[Anf]:
-    """Each table's ANF, with one butterfly call over the joined tables of each n."""
+    """Each table's ANF, with one moebius_stack call per `stacks` stack."""
     out: list = [None] * len(tables)
-    for rows, _, anfs in moebius_stacks(tables):
-        for i, a in zip(rows, anfs):
+    for rows in stacks([1 << t.n for t in tables]):
+        for i, a in zip(rows, moebius_stack([tables[i] for i in rows])[1]):
             out[i] = a
     return out
 

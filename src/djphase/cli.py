@@ -33,7 +33,7 @@ from itertools import islice
 
 import numpy as np
 
-from .boolfn import TruthTable, TruthTableError, parse_truth_table
+from .boolfn import TruthTable, TruthTableError, parse_truth_table, stacks
 from .oracle_compiler import CircuitParseError, circuit_texts, report_dicts, synthesis_reports
 from .reports import entanglement_survey, enumeration_report
 from .dj_runner import (
@@ -45,7 +45,7 @@ from .dj_runner import (
     classical_decide,
     run_tables,
 )
-from .simulator import MAX_QUBITS, stacked_counts, stacks
+from .simulator import MAX_QUBITS, stacked_counts
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -192,8 +192,8 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
         if t.n > MAX_QUBITS:
             raise ValueError(f"synth supports n <= {MAX_QUBITS}, got n={t.n}")
     single, as_json = args.truth is not None, args.format == "json"
-    # One `stacks` stack at a time, as runs split them, so that only its circuits are
-    # alive at once: a table of n >= 16 is synthesized alone.
+    # One `stacks` stack at a time, from reports to texts, so that only one stack's
+    # circuits are alive at once: a table of n >= 16 is synthesized alone.
     items: list = [None] * len(tables)
     for rows in stacks([1 << t.n for t in tables]):
         reports = synthesis_reports([tables[i] for i in rows])

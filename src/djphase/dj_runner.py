@@ -4,8 +4,8 @@ Two quantum variants share one prologue, `check_run`, and one read-out:
 once the final probabilities sum to 1, the all-zeros amplitude after the
 final Hadamard layer decides: magnitude 1 means constant (the sign
 telling constant-0 from constant-1), magnitude 0 means balanced.
-`run_tables` runs a list of tables as (B, 2^n) stacks, one per n (split at
-MAX_STACK_AMPLITUDES), each row with the arithmetic of its table run
+`run_tables` runs a list of tables as the (B, 2^n) stacks that
+`boolfn.stacks` cuts, each row with the arithmetic of its table run
 alone; `run_refined(t)` and `run_original(t)` are its stack of one.
 
 * refined: n qubits, the oracle is a diagonal phase circuit synthesized
@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boolfn import FunctionClass, TruthTable, classify, moebius_transforms
+from .boolfn import FunctionClass, TruthTable, classify, moebius_transforms, stacks
 from .oracle_compiler import SelfCheckError, synthesize
 from .simulator import (
     MAX_QUBITS,
@@ -39,7 +39,6 @@ from .simulator import (
     probabilities,
     qubit_purity,
     stacked_diagnostics,
-    stacks,
 )
 
 VERDICT_TOL = 1e-9
@@ -162,7 +161,7 @@ def run_tables(
 ) -> list[DjOutcome]:
     """The run of each table in `mode`, in order, after check_run on every one.
 
-    Tables of one n run as one (B, 2^n) stack (B * 2^qubits <= MAX_STACK_AMPLITUDES,
+    Each `stacks` stack runs as one (B, 2^n) state (B * 2^qubits <= MAX_STACK_AMPLITUDES,
     a wider table alone) with the arithmetic of one state per row, so each outcome
     equals its table's run alone bit for bit.  If any row fails a self-check, the
     SelfCheckError of the first such table in order is raised.

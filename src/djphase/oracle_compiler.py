@@ -7,8 +7,8 @@ A `Circuit` stores each phase gate as its monomial's index in `Anf.coeffs`.
 The constant-1 term only contributes a global factor of -1, which a
 phase oracle cannot expose, so it is dropped and recorded in the
 synthesis report.  `synthesis_reports` and `circuit_texts` take a list of
-any n and work one (B, 2^n) stack per n; `synthesis_report` and
-`emit_text` are their stack of one.
+any n and work it as `boolfn.stacks` cuts it, one (B, 2^n) stack at a time;
+`synthesis_report` and `emit_text` are their stack of one.
 
 Circuits round-trip through a line-oriented text format:
 
@@ -24,12 +24,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import add
+from operator import add, index
 
 import numpy as np
 
 from .boolfn import Anf, FunctionClass, TruthTable, anf_texts, classify, mask_qubits
-from .boolfn import moebius_stacks, monomial_table, positions_by, qubit_mask
+from .boolfn import moebius_stack, monomial_table, qubit_mask, stacks
 
 
 class CircuitParseError(ValueError):
@@ -46,14 +46,14 @@ class PhaseGate:
 
     One qubit is a phase flip (`z`), two a controlled phase (`cz`), three
     or more a multi-controlled Z (`ccz`, `cccz`, ...).  Qubits are stored
-    sorted, and every gate is built as the subclass named for its arity,
+    sorted, as ints, and every gate is built as the subclass named for its arity,
     so `PhaseGate((2, 1)) == ControlledPhase(1, 2)`.
     """
 
     qubits: tuple[int, ...]
 
     def __new__(cls, qubits: Iterable[int]) -> PhaseGate:
-        ordered = tuple(sorted(qubits))
+        ordered = tuple(sorted(map(index, qubits)))
         if not ordered or ordered[0] < 1:
             raise ValueError(f"a phase gate needs one or more qubits, all >= 1; got {ordered}")
         if len(set(ordered)) != len(ordered):
@@ -101,6 +101,7 @@ class Hadamard:
     qubit: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit", index(self.qubit))  # an int, as parse_text gives
         if self.qubit < 1:
             raise ValueError(f"qubit index must be >= 1, got {self.qubit}")
 
@@ -245,13 +246,14 @@ def _construction_type(counts: GateCounts) -> ConstructionType:
 
 
 def synthesis_reports(tables: Sequence[TruthTable]) -> list[SynthesisReport]:
-    """Each table's synthesis_report: per n, one Moebius butterfly and one gate-order gather.
+    """Each table's synthesis_report: one moebius_stack and one gate-order gather per stack.
 
     The gate order lists the n singles, then the n(n-1)/2 pairs, then the rest, so
     each row's gate counts are its present masks in three slices of it.
     """
     reports: list = [None] * len(tables)
-    for rows, coeffs, anfs in moebius_stacks(tables):
+    for rows in stacks([1 << t.n for t in tables]):
+        coeffs, anfs = moebius_stack([tables[i] for i in rows])
         n = anfs[0].n
         positions, masks = _gate_masks(n, coeffs)
         # Where each row's singles, pairs and rest end among the present positions.
@@ -286,16 +288,16 @@ def emit_text(c: Circuit) -> str:
 
 
 def circuit_texts(circuits: Sequence[Circuit]) -> list[str]:
-    """emit_text of each circuit: per n, one pass over the gates of all of them."""
+    """emit_text of each circuit: one pass over the gates of each `stacks` stack."""
     texts: list = [None] * len(circuits)
-    for n, rows in positions_by([c.n for c in circuits]).items():
-        table = monomial_table(n)
+    for rows in stacks([1 << c.n for c in circuits]):
+        table = monomial_table(circuits[rows[0]].n)
         ops = [op for i in rows for op in circuits[i].ops]
         masks = [op for op in ops if type(op) is int]
         names = map(table.mnemonics.__getitem__, map(int.bit_count, masks))
         gates = map(add, names, table.join(table.args, masks))
         lines = [next(gates) if type(op) is int else f"h {op.qubit}" for op in ops]
-        head, start = f"qubits {n}", 0
+        head, start = f"qubits {table.n}", 0
         for i in rows:
             end = start + len(circuits[i].ops)
             texts[i] = "\n".join([head, *lines[start:end], ""])

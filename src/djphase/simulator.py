@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .boolfn import TruthTable, positions_by
+from .boolfn import MAX_STACK_AMPLITUDES, TruthTable, stacks  # noqa: F401, re-exported
 from .oracle_compiler import Circuit, GateOp, Hadamard
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -35,10 +35,6 @@ MAX_EQUIVALENCE_QUBITS = 12
 
 PURITY_TOL = 1e-9
 NORM_GUARD_TOL = 1e-6
-
-# Entries of one stack: a stack of the four n=16 states of a file ran slower than
-# one state at a time, so a table this wide runs alone.
-MAX_STACK_AMPLITUDES = 1 << 16
 
 
 @dataclass
@@ -57,16 +53,6 @@ def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
     amps = np.zeros(dim if rows is None else (rows, dim))
     amps[..., index] = 1.0
     return StateVector(n, amps)
-
-
-def stacks(widths: list[int]) -> list[list[int]]:
-    """Positions of equal widths, grouped in first-seen order, split into stacks of at
-    most MAX_STACK_AMPLITUDES entries (a wider one alone)."""
-    out = []
-    for width, rows in positions_by(widths).items():
-        step = max(1, MAX_STACK_AMPLITUDES // width)
-        out += [rows[i : i + step] for i in range(0, len(rows), step)]
-    return out
 
 
 def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:

@@ -74,6 +74,33 @@ class TestGateTypes:
         with pytest.raises(ValueError):
             ControlledPhase(0, 1)
 
+    def test_numpy_int_qubits_are_stored_as_ints(self):
+        i64, i32 = np.int64, np.int32
+        gates = (ControlledPhase(i64(1), i64(2)), Hadamard(i64(3)), PhaseFlip(i32(3)))
+        c = Circuit(3, gates + (MultiControlledZ((i64(3), i32(1), 2)), Hadamard(True)))
+        assert [type(op) for op in c.ops] == [int, Hadamard, int, int, Hadamard]
+        assert all(type(q) is int for g in c.gates for q in g.qubits)
+        assert gate_counts(c) == gate_counts(Circuit(3, [6, Hadamard(3), 1, 7, Hadamard(1)]))
+        assert gate_counts(c).as_dict() == {"z": 1, "cz": 1, "mcz": 1, "h": 2}
+        text = emit_text(c)
+        assert text == "qubits 3\ncz 1 2\nh 3\nz 3\nccz 1 2 3\nh 1\n"
+        assert parse_text(text) == c
+        assert Anf(3, [[i64(1), i32(2)]]).coeffs == Anf(3, [[1, 2]]).coeffs
+
+    @pytest.mark.parametrize("qubit", [1.0, 1.5, "1", None])
+    def test_non_integer_qubits_raise_when_built(self, qubit):
+        for build in (
+            lambda: PhaseFlip(qubit),
+            lambda: ControlledPhase(2, qubit),
+            lambda: MultiControlledZ((2, 3, qubit)),
+            lambda: Hadamard(qubit),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        # Anf names a qubit outside 1..n first; 1.0 is inside, and raises at the mask.
+        with pytest.raises(TypeError if qubit == 1.0 else ValueError):
+            Anf(3, [[qubit]])
+
     def test_circuit_rejects_zero_qubits(self):
         with pytest.raises(ValueError, match="qubit count must be at least 1, got 0"):
             Circuit(0, ())

@@ -1,7 +1,7 @@
 """Stacked synthesis against the independent references in oracles.
 
 `moebius_transforms`, `synthesis_reports`, `anf_texts` and `circuit_texts`
-take mixed-n lists and work one (B, 2^n) stack per n.  Every check here
+take mixed-n lists and work them as the (B, 2^n) stacks that `boolfn.stacks` cuts.  Every check here
 reads `oracles`: the subset-sum ANF, sorted qubit tuples, popcounts by bit
 test and per-line text, none of which shares code with the stacked path.
 """
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import djphase.boolfn
+import djphase.simulator
 import oracles
 from djphase import (
     Anf,
@@ -186,3 +187,38 @@ class TestStackedTexts:
         assert anf_texts(anfs) == want
         assert "0" in want and "1" in want
         assert anf_texts([]) == []
+
+
+def split_list() -> list[TruthTable]:
+    """Three seeded n=15 tables interleaved with two n=3 ones: two n=15 tables fill
+    MAX_STACK_AMPLITUDES, so the third starts a stack of its own."""
+    rng = random.Random(2501)
+    wide = [random_table(15, rng) for _ in range(3)]
+    return [wide[0], canonical_balanced(3)[9], wide[1], random_table(3, rng), wide[2]]
+
+
+class TestOneStackingRule:
+    """Every stacked form cuts a list where `boolfn.stacks` does, runs included."""
+
+    def test_moebius_transforms_split_at_the_cap(self, monkeypatch):
+        tables = split_list()
+        calls = counting_butterfly(monkeypatch)
+        anfs = moebius_transforms(tables)
+        assert calls == [(15, 65536), (15, 32768), (3, 16)]
+        assert [a.coeffs for a in anfs] == [moebius_transform(t).coeffs for t in tables]
+
+    def test_reports_and_texts_against_the_references(self, monkeypatch):
+        tables = split_list()
+        calls = counting_butterfly(monkeypatch)
+        reports = synthesis_reports(tables)
+        assert calls == [(15, 65536), (15, 32768), (3, 16)]
+        check_reports(tables, reports)  # the n=15 ANFs through the sampled path
+        anfs = [r.anf for r in reports]
+        want = [oracles.render(oracles.monomials_by_bits(a.coeffs, a.n)) for a in anfs]
+        assert anf_texts(anfs) == want
+        circuits = [r.circuit for r in reports]
+        assert circuit_texts(circuits) == [oracles.emit_text(c.n, c.ops) for c in circuits]
+
+    def test_simulator_binds_the_one_stacks(self):
+        assert djphase.simulator.stacks is djphase.boolfn.stacks
+        assert djphase.simulator.MAX_STACK_AMPLITUDES is djphase.boolfn.MAX_STACK_AMPLITUDES
