@@ -91,7 +91,11 @@ class Anf:
         coeffs = bytearray(1 << n)
         for mono in map(frozenset, monomials):
             if any(j not in range(1, n + 1) for j in mono):
-                raise ValueError(f"monomial {sorted(mono)} outside qubits 1..{n}")
+                try:
+                    shown = sorted(mono)
+                except TypeError:  # qubits that do not order, such as 2 and "1": by repr
+                    shown = sorted(mono, key=repr)
+                raise ValueError(f"monomial {shown} outside qubits 1..{n}")
             coeffs[qubit_mask(n, map(index, mono))] = 1  # 1.0 passes the range test
         _fill(self, n, bytes(coeffs))
 

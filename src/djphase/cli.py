@@ -130,13 +130,16 @@ def _float_texts(values: np.ndarray) -> list[str]:
     """json.dumps's text of each float in a 1-D float64 array, each bit pattern encoded once.
 
     A probability vector holds few distinct values (squared Walsh coefficients), and
-    float formatting is most of the cost of encoding it.  Keying on the bits keeps
-    -0.0 apart from 0.0; NaN and +-inf encode as json.dumps writes them.
+    float formatting is most of the cost of encoding it.  One sort of the uint64 view
+    puts equal bit patterns side by side, so the first of each run gives every distinct
+    pattern (-0.0 apart from 0.0); each entry finds its text by a binary search among
+    them.  NaN and +-inf encode as json.dumps writes them.
     """
-    bits = values.view(np.uint64).tolist()
-    distinct = list(dict.fromkeys(bits))
-    floats = np.array(distinct, dtype=np.uint64).view(np.float64).tolist()
-    return list(map(dict(zip(distinct, _scalar_texts(floats))).__getitem__, bits))
+    bits = values.view(np.uint64)
+    order = np.sort(bits)
+    distinct = np.concatenate((order[:1], order[1:][order[1:] != order[:-1]]))
+    texts = np.array(_scalar_texts(distinct.view(np.float64).tolist()), dtype=object)
+    return texts[np.searchsorted(distinct, bits)].tolist()
 
 
 def _block(open_: str, items: list[str], indent: str, close: str) -> str:

@@ -295,8 +295,10 @@ def circuit_texts(circuits: Sequence[Circuit]) -> list[str]:
         ops = [op for i in rows for op in circuits[i].ops]
         masks = [op for op in ops if type(op) is int]
         names = map(table.mnemonics.__getitem__, map(int.bit_count, masks))
-        gates = map(add, names, table.join(table.args, masks))
-        lines = [next(gates) if type(op) is int else f"h {op.qubit}" for op in ops]
+        lines = list(map(add, names, table.join(table.args, masks)))
+        if len(lines) < len(ops):  # Hadamards among the masks: each line at its op's place
+            gates = iter(lines)
+            lines = [next(gates) if type(op) is int else f"h {op.qubit}" for op in ops]
         head, start = f"qubits {table.n}", 0
         for i in rows:
             end = start + len(circuits[i].ops)

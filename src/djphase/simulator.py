@@ -139,9 +139,39 @@ def apply_circuits(state: StateVector, circuits: list[Circuit]) -> StateVector:
     return state
 
 
+def _basis_index(amps: np.ndarray) -> int | None:
+    """k if every row of amps is |k> with amplitude exactly 1.0, else None."""
+    rows = amps.size // amps.shape[-1]
+    if not rows or np.count_nonzero(amps) != rows:  # one entry per row
+        return None
+    k = int(np.flatnonzero(amps)[0])  # row 0's entry, unless row 0 is all zeros
+    return k if k < amps.shape[-1] and (amps[..., k] == 1.0).all() else None
+
+
 def apply_hadamard_all(state: StateVector) -> StateVector:
-    for q in range(1, state.n + 1):
-        _hadamard(state.amps, q)
+    """H on qubits 1..n of each state: one butterfly per qubit, or a fill on a basis state.
+
+    If every row is the same |k> (one entry, exactly 1.0), each entry of H^n|k> is +-v,
+    v = 1.0 times 1/sqrt(2) n times in turn, and the sign (-1)^popcount(x & k) comes
+    from one half-negation per set bit of k.  A butterfly on such a state adds 0.0 and
+    scales by 1/sqrt(2), so the float64 fill, cast to the input's dtype, has the
+    butterflies' bits; it is taken for float64 and complex128 rows (+0.0 imaginary parts).
+    """
+    amps, n = state.amps, state.n
+    exact = amps.shape[-1] == 1 << n and amps.dtype in (np.float64, np.complex128)
+    k = _basis_index(amps) if exact else None  # other dtypes round v in their own precision
+    if k is None:
+        for q in range(1, n + 1):
+            _hadamard(amps, q)
+        return state
+    v = 1.0
+    for _ in range(n):
+        v *= _INV_SQRT2
+    fill = np.full(1 << n, v)
+    for j in range(n):
+        if k >> j & 1:  # negate every entry whose index has bit j set
+            fill.reshape(-1, 2, 1 << j)[:, 1] *= -1.0
+    amps[...] = fill
     return state
 
 

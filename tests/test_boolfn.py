@@ -179,6 +179,13 @@ class TestMoebius:
             Anf(2, frozenset({frozenset({3})}))
         with pytest.raises(ValueError, match="outside qubits 1..2"):
             Anf(2, [(1.5,)])
+        with pytest.raises(ValueError, match=r"^monomial \[4\] outside qubits 1\.\.3$"):
+            Anf(3, [[4]])
+
+    def test_unorderable_monomial_names_it(self):
+        # 2 and "1" do not sort; the error still names the monomial, by repr order.
+        with pytest.raises(ValueError, match=r"^monomial \['1', 2\] outside qubits 1\.\.3$"):
+            Anf(3, [[2, "1"]])
 
     @pytest.mark.parametrize(
         "text,expected",

@@ -77,6 +77,30 @@ def test_edge_arrays(values):
         assert cli._run_json(rows, single) == reference(rows, single)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.25],
+        [-0.0],
+        [0.0, -0.0, 0.0, -0.0, 1.0, -0.0],
+        [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308],
+        [0.125] * 1000 + [0.0] * 1000 + [0.125] * 3,
+        [*SPECIAL, *SPECIAL[::-1], 0.1, 0.1],
+    ],
+    ids=["empty", "one", "negative-zero", "signed-zeros", "specials", "runs", "all-special"],
+)
+def test_float_texts_match_json_dumps(values):
+    array = np.array(values, dtype=np.float64)
+    assert cli._float_texts(array) == list(map(json.dumps, array.tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays())
+def test_float_texts_match_json_dumps_on_drawn_arrays(array):
+    assert cli._float_texts(array) == list(map(json.dumps, array.tolist()))
+
+
 def test_nan_payloads_encode_as_nan():
     values = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], np.uint64)
     rows = [{"probabilities": values.view(np.float64)}]

@@ -222,6 +222,75 @@ class TestOneButterfly:
         assert np.array_equal(got_circuit, want_circuit)
 
 
+def _per_qubit_butterfly(n: int, amps: np.ndarray) -> np.ndarray:
+    out = amps.copy()
+    for q in range(1, n + 1):
+        djphase.simulator._hadamard(out, q)
+    return out
+
+
+def _counting_butterfly(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    butterfly = djphase.simulator._hadamard
+    monkeypatch.setattr(
+        djphase.simulator, "_hadamard", lambda amps, q: calls.append(q) or butterfly(amps, q)
+    )
+    return calls
+
+
+class TestHadamardFill:
+    """A layer on a basis state is a fill: the butterflies' bits, without the butterflies."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_fill_has_the_butterfly_bits(self, n, monkeypatch):
+        calls = _counting_butterfly(monkeypatch)
+        random_k = int(np.random.default_rng(n).integers(1 << n))
+        for k in sorted({0, 1, random_k}):
+            for dtype in (np.float64, np.complex128):
+                amps = np.zeros((3, 1 << n), dtype)
+                amps[:, k] = 1.0
+                want = _per_qubit_butterfly(n, amps)
+                del calls[:]
+                # A stack of 3 and a stack of 1; the butterfly acts row by row.
+                for got, rows in ((apply_hadamard_all(StateVector(n, amps[:1].copy())).amps, 1),
+                                  (apply_hadamard_all(StateVector(n, amps)).amps, 3)):
+                    assert got.dtype == dtype
+                    # Both parts of a complex entry, the +0.0 imaginary ones included.
+                    assert np.array_equal(_bits(got), _bits(want[:rows])), (k, dtype, rows)
+                assert calls == []  # the fill, not the butterfly
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fill_against_the_dense_matrix(self, n):
+        dense = oracles.circuit_matrix(n, [Hadamard(q) for q in range(1, n + 1)])
+        for k in range(1 << n):
+            got = apply_hadamard_all(basis_state(n, k)).amps
+            assert np.allclose(got, dense[:, k], rtol=0, atol=1e-12), k
+
+    @pytest.mark.parametrize(
+        "rows, columns, values, dtype",
+        [
+            ([0, 1, 2], [0, 5, 5], 1.0, np.float64),  # rows holding different basis states
+            ([0, 1, 2], [5, 5, 5], 1.1, np.float64),  # a scaled basis state
+            ([0, 1, 2, 1], [5, 5, 5, 2], [1.0, 1.0, 1.0, np.nan], np.float64),  # a NaN
+            ([0, 1, 2], [5, 5, 5], -1.0, np.float64),  # a negated basis state
+            ([0, 0, 1], [5, 6, 5], 1.0, np.float64),  # one entry per row on average only
+            # Single precision rounds each butterfly's product to float32.
+            ([0, 1, 2], [5, 5, 5], 1.0, np.float32),
+            ([0, 1, 2], [5, 5, 5], 1.0, np.complex64),
+        ],
+        ids=["different", "scaled", "nan", "negated", "uneven", "float32", "complex64"],
+    )
+    def test_other_states_take_the_butterfly(self, rows, columns, values, dtype, monkeypatch):
+        n = 4
+        amps = np.zeros((3, 1 << n), dtype)
+        amps[rows, columns] = values
+        want = _per_qubit_butterfly(n, amps)
+        calls = _counting_butterfly(monkeypatch)
+        got = apply_hadamard_all(StateVector(n, amps)).amps
+        assert calls == list(range(1, n + 1))
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestPhaseOracle:
     def test_signs_match_table(self):
         t = parse_truth_table("01010110")
