@@ -34,7 +34,7 @@ from itertools import islice
 import numpy as np
 
 from .boolfn import TruthTable, TruthTableError, parse_truth_table, stacks
-from .oracle_compiler import CircuitParseError, circuit_texts, report_dicts, synthesis_reports
+from .oracle_compiler import circuit_texts, report_dicts, synthesis_reports
 from .reports import entanglement_survey, enumeration_report
 from .dj_runner import (
     VERDICT_TOL,
@@ -223,17 +223,11 @@ def _histograms(probs: list[np.ndarray], shots: int, seed: int) -> list[dict[str
     out: list = [None] * len(probs)
     for rows in stacks([p.size for p in probs]):
         counts = stacked_counts(np.array([probs[i] for i in rows]), shots, seed)
-        width = counts.shape[1].bit_length() - 1
-        # Every observed outcome in row-major order; each distinct one is formatted once.
-        row_of, seen = np.nonzero(counts)
-        values = counts[row_of, seen].tolist()
-        seen = seen.tolist()
-        labels = {k: format(k, f"0{width}b") for k in set(seen)}
-        keys = list(map(labels.__getitem__, seen))
-        start = 0
-        for i, end in zip(rows, np.bincount(row_of, minlength=len(rows)).cumsum().tolist()):
-            out[i] = dict(zip(keys[start:end], values[start:end]))
-            start = end
+        width = probs[rows[0]].size.bit_length() - 1
+        # Each distinct outcome of the stack is formatted once.
+        labels = {k: format(k, f"0{width}b") for k in set().union(*counts)}
+        for i, row in zip(rows, counts):
+            out[i] = {labels[k]: count for k, count in row.items()}
     return out
 
 
@@ -368,15 +362,11 @@ def main(argv: list[str] | None = None) -> int:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         return code
-    except PromiseViolationError as exc:
+    except (SelfCheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROMISE
-    except SelfCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (TruthTableError, CircuitParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, PromiseViolationError):
+            return EXIT_PROMISE
+        return EXIT_VERIFY if isinstance(exc, SelfCheckError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Two quantum variants share one prologue, `check_run`, and one read-out:
 once the final probabilities sum to 1, the all-zeros amplitude after the
 final Hadamard layer decides: magnitude 1 means constant (the sign
 telling constant-0 from constant-1), magnitude 0 means balanced.
-`run_tables` runs a list of tables as the (B, 2^n) stacks that
-`boolfn.stacks` cuts, each row with the arithmetic of its table run
-alone; `run_refined(t)` and `run_original(t)` are its stack of one.
+`run_tables` and `entanglement_profiles` walk a list of tables as the
+(B, 2^n) stacks that `boolfn.stacks` cuts, each row with the arithmetic of
+its table alone; `run_refined(t)` and `run_original(t)` are a stack of one.
 
 * refined: n qubits, the oracle is a diagonal phase circuit synthesized
   from the function's ANF.
@@ -230,14 +230,14 @@ def entanglement_profile(t: TruthTable) -> EntanglementProfile:
 
 
 def entanglement_profiles(tables: list[TruthTable]) -> list[EntanglementProfile]:
-    """entanglement_profile of each table, all on one n, from one stacked post-oracle state."""
-    n = tables[0].n
-    if any(t.n != n for t in tables):
-        raise ValueError(f"tables on {sorted({t.n for t in tables})} qubits; a stack takes one n")
-    bits = np.frombuffer(b"".join(t.bits for t in tables), dtype=np.uint8).reshape(-1, 1 << n)
-    plus = apply_hadamard_all(basis_state(n, 0)).amps
-    try:
-        return stacked_diagnostics(plus * (1.0 - 2.0 * bits))
-    except ValueError as exc:
-        # The stack is built here from valid tables, so a failed guard is a defect.
-        raise SelfCheckError(str(exc)) from exc
+    """entanglement_profile of each table, in order, one post-oracle state per `stacks` stack."""
+    out: dict = {}
+    for rows in stacks([1 << t.n for t in tables]):
+        signs = 1.0 - 2.0 * np.frombuffer(b"".join(tables[i].bits for i in rows), np.uint8)
+        plus = apply_hadamard_all(basis_state(tables[rows[0]].n, 0)).amps
+        try:
+            out.update(zip(rows, stacked_diagnostics(plus * signs.reshape(len(rows), -1))))
+        except ValueError as exc:
+            # The stack is built here from valid tables, so a failed guard is a defect.
+            raise SelfCheckError(str(exc)) from exc
+    return [out[i] for i in range(len(tables))]

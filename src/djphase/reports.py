@@ -3,8 +3,8 @@
 Balanced functions come in complement pairs {f, 1 XOR f} whose oracles
 differ only by a global sign, so the census walks canonical
 representatives (f(0) = 0) and reports one row per class.  Both reports
-read one walk, which diagnoses every class from one stacked post-oracle
-state.  For n = 3 the rows also carry the construction-type tally.
+read one walk, which diagnoses one post-oracle state per `boolfn.stacks`
+stack.  For n = 3 the rows also carry the construction-type tally.
 """
 
 from __future__ import annotations

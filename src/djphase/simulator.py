@@ -1,20 +1,20 @@
 """Dense statevector simulation for diagonal-plus-Hadamard circuits.
 
-Amplitudes live in a flat array of length 2^n, basis states indexed
-big-endian (qubit 1 is the most significant bit), or in a (B, 2^n) stack of
-such states, one per row, which every layer treats row by row with the
-arithmetic of one state.  Hadamards and phase gates are real, so
-basis_state, and with it every run, holds float64 amplitudes; every layer
-also takes complex ones.  Qubits map to array axes through one view and no
-axis permutation: qubit q is the middle axis of
-amps.reshape(..., 2^(q-1), 2, -1), behind both the Hadamard butterfly and
-every one-qubit purity; phase gates index the (2,) * n reshape in
-apply_gate.  apply_circuit runs each block of consecutive phase-gate masks
-in Circuit.ops as one diagonal multiply, and apply_circuits gives each row
-of a stack its own circuit's diagonal, both built by numpy code of their
-own; a row whose circuit holds a Hadamard runs whole through apply_circuit.
-The array is mutated in place, never through matrices; the equivalence
-check runs once on a real 2n-qubit identity state.
+Amplitudes live in a flat array of length 2^n, basis states indexed big-endian
+(qubit 1 is the most significant bit), or in a (B, 2^n) stack of such states,
+one per row, which every layer treats row by row with the arithmetic of one
+state, an empty stack included.  Hadamards and phase gates are real, so
+basis_state, and with it every run, holds float64 amplitudes; every layer also
+takes complex ones.  Qubits map to array axes through one view and no axis
+permutation: qubit q is the middle axis of amps.reshape(..., 2^(q-1), 2,
+2^(n-q)), behind both the Hadamard butterfly and every one-qubit purity; phase
+gates index the (2,) * n reshape in apply_gate.  apply_circuit runs each block
+of consecutive phase-gate masks in Circuit.ops as one diagonal multiply, and
+apply_circuits gives each row of a stack its own circuit's diagonal, both
+built by numpy code of their own; a row whose circuit holds a Hadamard runs
+whole through apply_circuit.  The array is mutated in place, never through
+matrices; the equivalence check runs once on a real 2n-qubit identity state.
+stacked_counts alone reads a draw, as each row's {index: count}.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .boolfn import MAX_STACK_AMPLITUDES, TruthTable, stacks  # noqa: F401, re-exported
+from .boolfn import TruthTable
 from .oracle_compiler import Circuit, GateOp, Hadamard
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -56,7 +56,7 @@ def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
 
 
 def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:
-    return amps.reshape(amps.shape[:-1] + (1 << (q - 1), 2, -1))
+    return amps.reshape(amps.shape[:-1] + (1 << (q - 1), 2, amps.shape[-1] >> q))
 
 
 def _hadamard(amps: np.ndarray, q: int) -> None:
@@ -193,8 +193,8 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
-def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Counts of `shots` outcomes drawn from each row of a (B, D) stack of distributions.
+def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> list[dict[int, int]]:
+    """Observed {index: count} of `shots` draws from each row of a (B, D) stack, keys ascending.
 
     Every row takes the same draws u, the seed's first `shots` uniforms, sorted once:
     index k counts the draws in [cdf[k-1], cdf[k]), the last index takes the rest.
@@ -212,15 +212,16 @@ def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     u = np.sort(np.random.default_rng(seed).random(shots))
     below = np.searchsorted(u, np.cumsum(probs / totals, axis=-1))
     below[..., -1] = shots
-    return np.diff(below, axis=-1, prepend=0)
+    counts = np.diff(below, axis=-1, prepend=0)
+    row_of, seen = np.nonzero(counts)  # every observed outcome, in row-major order
+    values, seen = counts[row_of, seen].tolist(), seen.tolist()
+    ends = np.bincount(row_of, minlength=len(counts)).cumsum().tolist()
+    return [dict(zip(seen[a:b], values[a:b])) for a, b in zip([0, *ends], ends)]
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
-    """stacked_counts of one probability vector as {index: count}, observed outcomes only,
-    keys ascending."""
-    counts = stacked_counts(np.asarray(probs)[None], shots, seed)[0]
-    seen = np.flatnonzero(counts)
-    return dict(zip(seen.tolist(), counts[seen].tolist()))
+    """stacked_counts of one probability vector: row 0 of a stack that holds it."""
+    return stacked_counts(np.asarray(probs)[None], shots, seed)[0]
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
@@ -236,7 +237,7 @@ class EntanglementProfile:
 
 
 def _qubit_rows(amps: np.ndarray, q: int) -> np.ndarray:
-    return _qubit_view(amps, q).swapaxes(-3, -2).reshape(amps.shape[:-1] + (2, -1))
+    return _qubit_view(amps, q).swapaxes(-3, -2).reshape(amps.shape[:-1] + (2, amps.shape[-1] >> 1))
 
 
 def _purity(m: np.ndarray) -> np.ndarray:
@@ -264,6 +265,8 @@ def stacked_diagnostics(amps: np.ndarray) -> list[EntanglementProfile]:
     elsewhere, and fully_product holds when every rank is 1.  Every state
     must be normalized.
     """
+    if not len(amps):
+        return []
     norms = np.linalg.norm(amps, axis=-1)
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])  # argmax picks the first NaN
     if not abs(worst - 1.0) <= NORM_GUARD_TOL:

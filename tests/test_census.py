@@ -90,9 +90,34 @@ def test_stack_norm_guard_names_the_bad_state():
         stacked_diagnostics(amps)
 
 
-def test_tables_on_different_n_are_rejected():
-    with pytest.raises(ValueError):
-        entanglement_profiles([parse_truth_table("0110"), parse_truth_table("01101001")])
+def test_a_list_on_mixed_n_is_cut_at_the_cap(monkeypatch):
+    # Every n=4 class, with n=2 and n=3 tables interleaved: two capped n=4 stacks.
+    mixed = []
+    for i, t in enumerate(canonical_balanced(4)):
+        mixed.append(t)
+        if i % 400 == 0:
+            mixed.append(canonical_balanced(3)[i // 400])
+        if i % 900 == 0:
+            mixed.append(parse_truth_table(["0011", "0001", "1111"][i // 900 % 3]))
+    shapes = []
+
+    def counted_kernel(amps):
+        shapes.append(amps.shape)
+        return stacked_diagnostics(amps)
+
+    monkeypatch.setattr(djphase.dj_runner, "stacked_diagnostics", counted_kernel)
+    profiles = entanglement_profiles(mixed)
+    assert shapes == [(4096, 16), (2339, 16), (17, 8), (8, 4)]
+    monkeypatch.undo()
+    assert profiles == [entanglement_profile(t) for t in mixed]
+    for i in range(0, len(mixed), 97):
+        t = mixed[i]
+        values = [int(c) for c in t.text]
+        want = closed_form_purities(values, t.n)
+        assert np.allclose(profiles[i].purities, want, rtol=0.0, atol=1e-12), t.text
+        state = oracles.post_oracle_state(values, t.n)
+        for q, got in enumerate(profiles[i].purities, start=1):
+            assert abs(got - oracles.reduced_purity(state, q, t.n)) <= 1e-12, (t.text, q)
 
 
 @pytest.mark.parametrize("report", [enumeration_report, entanglement_survey])
@@ -113,6 +138,12 @@ def test_each_report_walks_once_with_one_kernel_call(report, monkeypatch):
     assert report(3).classes == 35
     assert walks == [3]
     assert kernel_calls == [(35, 8)]
+    # 6,435 classes of 16 amplitudes: two stacks of at most 2^16 amplitudes.
+    walks.clear()
+    kernel_calls.clear()
+    assert report(4).classes == 6435
+    assert walks == [4]
+    assert kernel_calls == [(4096, 16), (2339, 16)]
 
 
 def test_total_balanced_is_twice_the_classes():

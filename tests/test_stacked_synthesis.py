@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import djphase.boolfn
-import djphase.simulator
 import oracles
 from djphase import (
     Anf,
@@ -218,7 +217,3 @@ class TestOneStackingRule:
         assert anf_texts(anfs) == want
         circuits = [r.circuit for r in reports]
         assert circuit_texts(circuits) == [oracles.emit_text(c.n, c.ops) for c in circuits]
-
-    def test_simulator_binds_the_one_stacks(self):
-        assert djphase.simulator.stacks is djphase.boolfn.stacks
-        assert djphase.simulator.MAX_STACK_AMPLITUDES is djphase.boolfn.MAX_STACK_AMPLITUDES
