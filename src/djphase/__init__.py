@@ -70,6 +70,7 @@ from .simulator import (
     basis_state,
     entanglement_diagnostics,
     equivalent_diagonal,
+    hadamard_basis_state,
     probabilities,
     qubit_purity,
     sample,

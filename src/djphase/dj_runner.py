@@ -35,7 +35,7 @@ from .simulator import (
     StateVector,
     apply_circuits,
     apply_hadamard_all,
-    basis_state,
+    hadamard_basis_state,
     probabilities,
     qubit_purity,
     stacked_diagnostics,
@@ -121,7 +121,7 @@ def _read_out(total: float, zero: float, purity: float | None, tol: float) -> Ve
 def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
     """One oracle query on n qubits per row, each with its table's synthesized circuit."""
     anfs = moebius_transforms(tables)
-    state = apply_hadamard_all(basis_state(tables[0].n, 0, rows=len(tables)))
+    state = hadamard_basis_state(tables[0].n, 0, rows=len(tables))
     apply_circuits(state, [synthesize(a) for a in anfs])
     apply_hadamard_all(state)
     # The synthesized circuit omits the constant-1 monomial; restore its global -1
@@ -146,7 +146,7 @@ def _run_original_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarr
     """H^(n+1) . XOR oracle . H^(n+1) on |0...0>|1> per row, with each working qubit's
     purity right after the oracle."""
     n, rows = tables[0].n, len(tables)
-    state = apply_hadamard_all(basis_state(n + 1, 1, rows=rows))
+    state = hadamard_basis_state(n + 1, 1, rows=rows)
     _apply_xor_oracle(state, b"".join(t.bits for t in tables))
     purities = qubit_purity(state, n + 1).tolist()
     apply_hadamard_all(state)
@@ -234,7 +234,7 @@ def entanglement_profiles(tables: list[TruthTable]) -> list[EntanglementProfile]
     out: dict = {}
     for rows in stacks([1 << t.n for t in tables]):
         signs = 1.0 - 2.0 * np.frombuffer(b"".join(tables[i].bits for i in rows), np.uint8)
-        plus = apply_hadamard_all(basis_state(tables[rows[0]].n, 0)).amps
+        plus = hadamard_basis_state(tables[rows[0]].n, 0).amps
         try:
             out.update(zip(rows, stacked_diagnostics(plus * signs.reshape(len(rows), -1))))
         except ValueError as exc:

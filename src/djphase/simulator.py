@@ -5,21 +5,23 @@ Amplitudes live in a flat array of length 2^n, basis states indexed big-endian
 one per row, which every layer treats row by row with the arithmetic of one
 state, an empty stack included.  Hadamards and phase gates are real, so
 basis_state, and with it every run, holds float64 amplitudes; every layer also
-takes complex ones.  Qubits map to array axes through one view and no axis
-permutation: qubit q is the middle axis of amps.reshape(..., 2^(q-1), 2,
-2^(n-q)), behind both the Hadamard butterfly and every one-qubit purity; phase
-gates index the (2,) * n reshape in apply_gate.  apply_circuit runs each block
-of consecutive phase-gate masks in Circuit.ops as one diagonal multiply, and
-apply_circuits gives each row of a stack its own circuit's diagonal, both
-built by numpy code of their own; a row whose circuit holds a Hadamard runs
-whole through apply_circuit.  The array is mutated in place, never through
-matrices; the equivalence check runs once on a real 2n-qubit identity state.
-stacked_counts alone reads a draw, as each row's {index: count}.
+takes complex ones.  A run's first layer is the fill hadamard_basis_state;
+every other layer runs the butterflies.  Qubits map to array axes through one
+view and no axis permutation: qubit q is the middle axis of amps.reshape(...,
+2^(q-1), 2, 2^(n-q)), behind both the Hadamard butterfly and every one-qubit
+purity; phase gates index the (2,) * n reshape in apply_gate.  apply_circuit
+runs each block of consecutive phase-gate masks in Circuit.ops as one diagonal
+multiply, and apply_circuits gives each row of a stack its own circuit's
+diagonal, both built by numpy code of their own; a row whose circuit holds a
+Hadamard runs whole through apply_circuit.  The array is mutated in place,
+never through matrices; the equivalence check runs once on a real 2n-qubit
+identity state.  stacked_counts alone reads a draw, as each row's {index: count}.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -45,6 +47,7 @@ class StateVector:
 
 def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
     """|index> on n qubits, or a (rows, 2^n) stack of it; n is capped at 20 to bound memory."""
+    n, index = operator.index(n), operator.index(index)  # True is 1; 1.0 is a TypeError
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     dim = 1 << n
@@ -53,6 +56,18 @@ def basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
     amps = np.zeros(dim if rows is None else (rows, dim))
     amps[..., index] = 1.0
     return StateVector(n, amps)
+
+
+def hadamard_basis_state(n: int, index: int = 0, rows: int | None = None) -> StateVector:
+    """H^n|index>, or a stack of it, with the bits of the n butterflies on basis_state: each
+    entry is +-v, v = 1.0 times 1/sqrt(2) n times in turn, as each butterfly adds 0.0 and
+    scales by 1/sqrt(2), and its sign is one exact negation per set bit of index."""
+    state = basis_state(n, index, rows)
+    state.amps[...] = math.prod([_INV_SQRT2] * state.n, start=1.0)  # not _INV_SQRT2**n
+    for j in range(state.n):
+        if index >> j & 1:  # negate every entry whose index has bit j set
+            state.amps.reshape(-1, 2, 1 << j)[:, 1] *= -1.0
+    return state
 
 
 def _qubit_view(amps: np.ndarray, q: int) -> np.ndarray:
@@ -139,39 +154,10 @@ def apply_circuits(state: StateVector, circuits: list[Circuit]) -> StateVector:
     return state
 
 
-def _basis_index(amps: np.ndarray) -> int | None:
-    """k if every row of amps is |k> with amplitude exactly 1.0, else None."""
-    rows = amps.size // amps.shape[-1]
-    if not rows or np.count_nonzero(amps) != rows:  # one entry per row
-        return None
-    k = int(np.flatnonzero(amps)[0])  # row 0's entry, unless row 0 is all zeros
-    return k if k < amps.shape[-1] and (amps[..., k] == 1.0).all() else None
-
-
 def apply_hadamard_all(state: StateVector) -> StateVector:
-    """H on qubits 1..n of each state: one butterfly per qubit, or a fill on a basis state.
-
-    If every row is the same |k> (one entry, exactly 1.0), each entry of H^n|k> is +-v,
-    v = 1.0 times 1/sqrt(2) n times in turn, and the sign (-1)^popcount(x & k) comes
-    from one half-negation per set bit of k.  A butterfly on such a state adds 0.0 and
-    scales by 1/sqrt(2), so the float64 fill, cast to the input's dtype, has the
-    butterflies' bits; it is taken for float64 and complex128 rows (+0.0 imaginary parts).
-    """
-    amps, n = state.amps, state.n
-    exact = amps.shape[-1] == 1 << n and amps.dtype in (np.float64, np.complex128)
-    k = _basis_index(amps) if exact else None  # other dtypes round v in their own precision
-    if k is None:
-        for q in range(1, n + 1):
-            _hadamard(amps, q)
-        return state
-    v = 1.0
-    for _ in range(n):
-        v *= _INV_SQRT2
-    fill = np.full(1 << n, v)
-    for j in range(n):
-        if k >> j & 1:  # negate every entry whose index has bit j set
-            fill.reshape(-1, 2, 1 << j)[:, 1] *= -1.0
-    amps[...] = fill
+    """H on qubits 1..n of each state: one butterfly per qubit."""
+    for q in range(1, state.n + 1):
+        _hadamard(state.amps, q)
     return state
 
 
@@ -251,6 +237,8 @@ def _purity(m: np.ndarray) -> np.ndarray:
 def qubit_purity(state: StateVector, q: int) -> float | np.ndarray:
     """Tr(rho^2) of qubit q alone, or an array of one per row of a stack:
     rho = M M^dagger, M has qubit q on its 2 rows."""
+    if not 1 <= q <= state.n:
+        raise ValueError(f"qubit {q} outside 1..{state.n}")
     purity = _purity(_qubit_rows(state.amps, q))
     return purity if purity.ndim else float(purity)
 

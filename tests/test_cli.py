@@ -593,6 +593,16 @@ class TestOneOutputPath:
         assert run_cli(capsys, *argv) == (code, text, "")
 
 
+def _fault_layers(monkeypatch, fault):
+    """Pass every state dj_runner's Hadamard layers give, the first layer's fill included,
+    through fault."""
+    fill, layer = djphase.simulator.hadamard_basis_state, djphase.simulator.apply_hadamard_all
+    monkeypatch.setattr(
+        djphase.dj_runner, "hadamard_basis_state", lambda *a, **k: fault(fill(*a, **k))
+    )
+    monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", lambda state: fault(layer(state)))
+
+
 class TestRunChecksEveryTableFirst:
     # The second table fails its run's checks, so not even the first may run.
     @pytest.mark.parametrize(
@@ -608,13 +618,10 @@ class TestRunChecksEveryTableFirst:
     def test_no_run_before_a_bad_table(
         self, capsys, monkeypatch, tmp_path, mode, second, code, err
     ):
-        # Every run starts with a Hadamard layer on its stack of states; record them.
+        # Every run starts with a Hadamard layer on its stack of states, prepared as a
+        # fill; record the preparations and the layers.
         calls = []
-        layer = djphase.dj_runner.apply_hadamard_all
-        monkeypatch.setattr(
-            djphase.dj_runner, "apply_hadamard_all",
-            lambda state: calls.append(state.amps.shape) or layer(state),
-        )
+        _fault_layers(monkeypatch, lambda state: calls.append(state.amps.shape) or state)
         path = tmp_path / "tables.txt"
         path.write_text(f"01101001\n{second}\n", encoding="utf-8")
         got, out, stderr = run_cli(capsys, "run", "--mode", mode, "--truth-file", str(path))
@@ -629,9 +636,9 @@ class TestRunChecksEveryTableFirst:
 
 
 def scaled_layer(state):
-    """A Hadamard layer that also scales the state by 1.1, so it is not unitary."""
+    """Scale a Hadamard layer's state by 1.1, so the layer is not unitary."""
     state.amps *= 1.1
-    return djphase.simulator.apply_hadamard_all(state)
+    return state
 
 
 class TestNonUnitaryLayer:
@@ -648,20 +655,20 @@ class TestNonUnitaryLayer:
         ],
     )
     def test_refined_run_exits_4(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", scaled_layer)
+        _fault_layers(monkeypatch, scaled_layer)
         assert run_cli(capsys, *argv) == (
             4, "", "error: final probabilities sum to 1.464100: a layer is not unitary\n"
         )
 
     @pytest.mark.parametrize("command", ["enumerate", "entangle"])
     def test_census_exits_4(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", scaled_layer)
+        _fault_layers(monkeypatch, scaled_layer)
         assert run_cli(capsys, command, "-n", "3") == (
             4, "", "error: state norm 1.100000 too far from 1 for diagnostics\n"
         )
 
     def test_verify_reports_the_census_raise(self, capsys, monkeypatch):
-        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", scaled_layer)
+        _fault_layers(monkeypatch, scaled_layer)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 4
         assert (
@@ -671,8 +678,7 @@ class TestNonUnitaryLayer:
 
 
 def nan_layer(state):
-    """A Hadamard layer that also writes one NaN amplitude."""
-    djphase.simulator.apply_hadamard_all(state)
+    """Write one NaN amplitude into a Hadamard layer's state."""
     state.amps[-1] = float("nan")
     return state
 
@@ -692,7 +698,7 @@ class TestNanState:
         ],
     )
     def test_nan_state_exits_4(self, capsys, monkeypatch, argv, err):
-        monkeypatch.setattr(djphase.dj_runner, "apply_hadamard_all", nan_layer)
+        _fault_layers(monkeypatch, nan_layer)
         code, out, stderr = run_cli(capsys, *argv)
         assert (code, out) == (4, "")
         assert stderr.startswith(f"error: {err}")

@@ -28,6 +28,7 @@ from djphase import (
     basis_state,
     entanglement_diagnostics,
     equivalent_diagonal,
+    hadamard_basis_state,
     moebius_transform,
     parse_truth_table,
     probabilities,
@@ -73,6 +74,17 @@ class TestBasisState:
             basis_state(2, 4)
         with pytest.raises(ValueError):
             amplitude(basis_state(2, 0), 4)
+
+    @pytest.mark.parametrize("make", [basis_state, hadamard_basis_state])
+    def test_index_is_an_integer(self, make):
+        # numpy would read a bool index as a mask over every entry.
+        assert np.array_equal(make(2, True).amps, make(2, 1).amps)
+        assert np.array_equal(make(True, True, rows=2).amps, make(1, 1, rows=2).amps)
+        for index in (1.0, "1"):
+            with pytest.raises(TypeError):
+                make(2, index)
+        with pytest.raises(TypeError):
+            make(2.0, 1)
 
 
 class TestApplyGate:
@@ -241,31 +253,32 @@ def _counting_butterfly(monkeypatch) -> list[int]:
 
 
 class TestHadamardFill:
-    """A layer on a basis state is a fill: the butterflies' bits, without the butterflies."""
+    """hadamard_basis_state is a fill: the butterflies' bits, without the butterflies."""
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_fill_has_the_butterfly_bits(self, n, monkeypatch):
         calls = _counting_butterfly(monkeypatch)
         random_k = int(np.random.default_rng(n).integers(1 << n))
         for k in sorted({0, 1, random_k}):
-            for dtype in (np.float64, np.complex128):
-                amps = np.zeros((3, 1 << n), dtype)
-                amps[:, k] = 1.0
-                want = _per_qubit_butterfly(n, amps)
+            for rows in (None, 1, 3):
+                basis = basis_state(n, k, rows).amps
+                want = _per_qubit_butterfly(n, basis)
+                want_complex = _per_qubit_butterfly(n, basis.astype(np.complex128))
                 del calls[:]
-                # A stack of 3 and a stack of 1; the butterfly acts row by row.
-                for got, rows in ((apply_hadamard_all(StateVector(n, amps[:1].copy())).amps, 1),
-                                  (apply_hadamard_all(StateVector(n, amps)).amps, 3)):
-                    assert got.dtype == dtype
-                    # Both parts of a complex entry, the +0.0 imaginary ones included.
-                    assert np.array_equal(_bits(got), _bits(want[:rows])), (k, dtype, rows)
+                got = hadamard_basis_state(n, k, rows).amps
                 assert calls == []  # the fill, not the butterfly
+                assert got.dtype == np.float64
+                assert np.array_equal(_bits(got), _bits(want)), (k, rows)
+                # Both parts of a complex entry, the +0.0 imaginary ones included.
+                assert np.array_equal(
+                    _bits(got.astype(np.complex128)), _bits(want_complex)
+                ), (k, rows)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_fill_against_the_dense_matrix(self, n):
         dense = oracles.circuit_matrix(n, [Hadamard(q) for q in range(1, n + 1)])
         for k in range(1 << n):
-            got = apply_hadamard_all(basis_state(n, k)).amps
+            got = hadamard_basis_state(n, k).amps
             assert np.allclose(got, dense[:, k], rtol=0, atol=1e-12), k
 
     @pytest.mark.parametrize(
@@ -279,8 +292,10 @@ class TestHadamardFill:
             # Single precision rounds each butterfly's product to float32.
             ([0, 1, 2], [5, 5, 5], 1.0, np.float32),
             ([0, 1, 2], [5, 5, 5], 1.0, np.complex64),
+            # An exact basis state: apply_hadamard_all never looks for one.
+            ([0, 1, 2], [5, 5, 5], 1.0, np.float64),
         ],
-        ids=["different", "scaled", "nan", "negated", "uneven", "float32", "complex64"],
+        ids=["different", "scaled", "nan", "negated", "uneven", "float32", "complex64", "basis"],
     )
     def test_other_states_take_the_butterfly(self, rows, columns, values, dtype, monkeypatch):
         n = 4
@@ -361,6 +376,12 @@ class TestEntanglementDiagnostics:
                 oracles.reduced_purity(state.amps, q, n), abs=1e-12
             )
             assert qubit_purity(state, q) == prof.purities[q - 1]
+
+    @pytest.mark.parametrize("q", [0, -1, 4])
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_purity_of_a_qubit_outside_the_state(self, q, rows):
+        with pytest.raises(ValueError, match=f"^qubit {q} outside 1..3$"):
+            qubit_purity(basis_state(3, 0, rows), q)
 
     def test_norm_guard(self):
         state = basis_state(2, 0)

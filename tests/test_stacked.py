@@ -111,14 +111,14 @@ def test_first_failing_table_in_file_order_is_reported(monkeypatch, mode):
 
 
 def test_a_bad_table_stops_the_batch_before_any_run(monkeypatch):
-    monkeypatch.setattr(djphase.dj_runner, "basis_state", None)  # any run would fail here
+    monkeypatch.setattr(djphase.dj_runner, "hadamard_basis_state", None)  # any run fails here
     tables = [parse_truth_table("0110"), parse_truth_table("0111")]
     with pytest.raises(djphase.dj_runner.PromiseViolationError, match="0111"):
         run_tables(tables, Mode.REFINED)
 
 
-def _complex_basis_state(*args, **kwargs):
-    state = djphase.simulator.basis_state(*args, **kwargs)
+def _complex_hadamard_basis_state(*args, **kwargs):
+    state = djphase.simulator.hadamard_basis_state(*args, **kwargs)
     return djphase.simulator.StateVector(state.n, state.amps.astype(np.complex128))
 
 
@@ -130,7 +130,7 @@ def test_real_runs_print_the_floats_of_complex_runs(monkeypatch):
     census = [canonical_balanced(n) for n in (2, 3, 4)]
     real = {mode: run_tables(tables, mode) for mode in Mode}
     real_census = [entanglement_profiles(c) for c in census]
-    monkeypatch.setattr(djphase.dj_runner, "basis_state", _complex_basis_state)
+    monkeypatch.setattr(djphase.dj_runner, "hadamard_basis_state", _complex_hadamard_basis_state)
     for mode in Mode:
         for t, want, out in zip(tables, real[mode], run_tables(tables, mode)):
             assert want.final_amplitudes.dtype == np.float64
