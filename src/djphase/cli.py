@@ -20,7 +20,11 @@ Exit codes: 0 success; 2 bad input, including a --tol outside
 is read), and a table too large for the run mode or for `synth` (n > 20);
 3 promise violation; 4 a failed `verify` suite or a failed self-check
 inside any other command.
-JSON output is byte-identical across runs for the same inputs.
+JSON output is byte-identical across runs for the same inputs, and equals
+json.dumps(payload, indent=2) plus a newline without running the stdlib's
+pure-Python indent encoder: `run` lays out its payloads in _run_json, and the
+other commands' same-shape records are filled into one %-template per record
+by _records_json, each column of values encoded by one C-encoder call.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from itertools import islice
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -116,10 +121,6 @@ def _load_tables(args: argparse.Namespace) -> list[TruthTable]:
     return tables
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _scalar_texts(values: list) -> list[str]:
     # One C-encoder call for many scalars; encoded JSON never holds a raw newline, so
     # each line is one scalar, or one item of a dict of scalars.
@@ -189,6 +190,96 @@ def _run_json(payloads: list[dict], single: bool) -> str:
     return (blocks[0] if single else _block("[", blocks, "", "]")) + "\n"
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _value_texts(values: list) -> list[str]:
+    """The JSON text of each scalar.
+
+    A column of floats alone goes through _float_texts, and a column of strs alone
+    through the stdlib's own string encoder, mapped in C: an n=20 `synth` text is
+    20 MB, and _scalar_texts would copy it three times more.
+    """
+    kinds = set(map(type, values))
+    if not kinds <= _SCALARS:
+        names = ", ".join(sorted(k.__name__ for k in kinds - _SCALARS))
+        raise SelfCheckError(f"JSON writer: a {names} value where the shape has a scalar")
+    if kinds == {float}:
+        return _float_texts(np.array(values, dtype=np.float64))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    return _scalar_texts(values)
+
+
+def _keys(dicts: list, where: str) -> tuple[str, ...]:
+    """The one key tuple, in order, of every dict in dicts."""
+    if set(map(type, dicts)) != {dict}:
+        raise SelfCheckError(f"JSON writer: {where} is not a dict in every record")
+    shapes = set(map(tuple, dicts))
+    if len(shapes) != 1:
+        raise SelfCheckError(f"JSON writer: records differ in the keys or key order of {where}")
+    keys = shapes.pop()
+    if not all(type(k) is str for k in keys):
+        raise SelfCheckError(f"JSON writer: a key of {where} is not a str")
+    return keys
+
+
+def _slot(key: str, text: str) -> str:
+    return json.dumps(key).replace("%", "%%") + ": " + text
+
+
+def _template(records: list[dict], indent: str) -> tuple[str, list[list[str]]]:
+    """One %-template for every record, its "{" at indent, and the texts of its slots.
+
+    The shape is records[0]'s: a value is a scalar, a flat dict of scalars, a flat list
+    or tuple of scalars, or a list of records (laid out by _records_text).  Each column
+    is gathered by one comprehension and encoded by one _value_texts call.  A record
+    that differs from records[0] in keys, key order, value kind or nested length
+    raises SelfCheckError, so no record is laid out by another's shape.
+    """
+    inner = indent + "  "
+    items, columns = [], []
+    for key in _keys(records, "a record"):
+        values = [r[key] for r in records]
+        first, width = values[0], 1
+        if type(first) is dict:
+            sub = _keys(values, repr(key))
+            width, text = len(sub), _block("{", [_slot(k, "%s") for k in sub], inner, "}")
+            texts = _value_texts(list(chain.from_iterable(map(dict.values, values))))
+        elif type(first) not in (list, tuple):
+            texts, text = _value_texts(values), "%s"
+        elif not set(map(type, values)) <= {list, tuple} or len(set(map(len, values))) != 1:
+            raise SelfCheckError(f"JSON writer: {key!r} is not a list of one length in all records")
+        elif first and type(first[0]) is dict:
+            texts, text = [_records_text(v, inner) for v in values], "%s"
+        else:
+            width, text = len(first), _block("[", ["%s"] * len(first), inner, "]")
+            texts = _value_texts(list(chain.from_iterable(values)))
+        items.append(_slot(key, text))
+        columns += (texts[j::width] for j in range(width))
+    return _block("{", items, indent, "}"), columns
+
+
+def _records_text(records: list[dict], indent: str, single: bool = False, end: str = "") -> str:
+    """json.dumps(records[0] if single else records, indent=2) + end, first line at indent.
+
+    The records share one shape (see _template).  One template per record, joined, is
+    filled by a single % with every slot's text in record order, so no Python call
+    runs per value.
+    """
+    if not records:
+        return "[]" + end
+    template, columns = _template(records, indent if single else indent + "  ")
+    if not single:
+        template = _block("[", [template] * len(records), indent, "]")
+    return (template + end) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _records_json(records: list[dict], single: bool) -> str:
+    """json.dumps(records[0] if single else records, indent=2) + "\n" of same-shape records."""
+    return _records_text(records, "", single, "\n")
+
+
 def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     tables = _load_tables(args)
     for t in tables:
@@ -214,7 +305,7 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
         for i, item in zip(rows, stack):
             items[i] = item
     if as_json:
-        return _json_text(items[0] if single else items), EXIT_OK
+        return _records_json(items, single), EXIT_OK
     return items[0] if single else "\n".join(items), EXIT_OK
 
 
@@ -286,7 +377,7 @@ def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     report = enumeration_report(args.n).as_dict()
     if args.format == "json":
-        return _json_text(report), EXIT_OK
+        return _records_json([report], True), EXIT_OK
     lines = [
         f"n = {report['n']}",
         f"balanced functions: {report['total_balanced']}",
@@ -311,7 +402,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_entangle(args: argparse.Namespace) -> tuple[str, int]:
     survey = entanglement_survey(args.n).as_dict()
     if args.format == "json":
-        return _json_text(survey), EXIT_OK
+        return _records_json([survey], True), EXIT_OK
     lines = [
         f"n = {survey['n']}",
         f"complement classes: {survey['classes']}",
@@ -331,7 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     results = [asdict(r) for r in run_verification(tol=args.tol)]
     code = EXIT_OK if all(r["passed"] for r in results) else EXIT_VERIFY
     if args.json:
-        return _json_text(results), code
+        return _records_json(results, False), code
     lines = [f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}: {r['detail']}" for r in results]
     lines.append(f"{sum(r['passed'] for r in results)}/{len(results)} suites passed")
     return "\n".join(lines) + "\n", code

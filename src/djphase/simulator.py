@@ -170,6 +170,7 @@ def apply_phase_oracle(state: StateVector, t: TruthTable) -> StateVector:
 
 
 def amplitude(state: StateVector, index: int) -> complex:
+    index = operator.index(index)  # True is 1; 1.0 is a TypeError, as in basis_state
     if not 0 <= index < state.amps.size:
         raise ValueError(f"basis index {index} outside 0..{state.amps.size - 1}")
     return complex(state.amps[index])

@@ -86,6 +86,13 @@ class TestBasisState:
         with pytest.raises(TypeError):
             make(2.0, 1)
 
+    def test_amplitude_index_is_an_integer(self):
+        state = basis_state(2, 1)
+        assert amplitude(state, True) == 1.0
+        for index in (1.0, "1"):
+            with pytest.raises(TypeError):
+                amplitude(state, index)
+
 
 class TestApplyGate:
     @pytest.mark.parametrize("gate", GATES_N4)
