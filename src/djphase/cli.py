@@ -16,24 +16,28 @@ circuit text format instead, so it never renders the ANF.
 
 Exit codes: 0 success; 2 bad input, including a --tol outside
 1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS (above 0 with
-`--mode classical`) or a negative `--seed` (all checked before any table
-is read), and a table too large for the run mode or for `synth` (n > 20);
+`--mode classical`), a negative `--seed` or an `--out` whose directory does
+not exist (all checked before any table is read), and a table too large for
+the run mode or for `synth` (n > 20);
 3 promise violation; 4 a failed `verify` suite or a failed self-check
 inside any other command.
 JSON output is byte-identical across runs for the same inputs, and equals
 json.dumps(payload, indent=2) plus a newline without running the stdlib's
-pure-Python indent encoder: `run` lays out its payloads in _run_json, and the
-other commands' same-shape records are filled into one %-template per record
-by _records_json, each column of values encoded by one C-encoder call.
+pure-Python indent encoder.  Every command fills one %-template per record, each
+column of values encoded by one C-encoder call: _records_json takes records of
+one shape, and _run_json groups `run` payloads by key tuple and value types,
+each probability array and histogram one slot, as their lengths change from
+table to table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from itertools import chain, islice
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -151,43 +155,70 @@ def _block(open_: str, items: list[str], indent: str, close: str) -> str:
     return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
 
 
+def _containers(items: list[str], sizes: list[int], brackets: str, indent: str) -> list[str]:
+    """The text of each array or dict of a column, as _block lays it out at indent, the
+    k-th made of the next sizes[k] of items.  Each one's first and last item take its
+    brackets, so that its text is one join: a run's MB-sized probability text is
+    copied by that join and by the final %, and no more."""
+    inner = indent + "  "
+    sep, open_, close = f",\n{inner}", f"{brackets[0]}\n{inner}", f"\n{indent}{brackets[1]}"
+    out, start = [], 0
+    for size in sizes:
+        if not size:
+            out.append(brackets)
+            continue
+        end = start + size
+        items[start] = open_ + items[start]
+        items[end - 1] += close
+        out.append(sep.join(items[start:end]))
+        start = end
+    return out
+
+
+def _run_column(values: list, kind: type, indent: str) -> list[str]:
+    """The slot text of each value of one column of run payloads, all of type kind."""
+    if kind is np.ndarray:
+        texts = _float_texts(np.concatenate(values))
+        return _containers(texts, [a.size for a in values], "[]", indent)
+    if kind is dict:
+        names = list(chain.from_iterable(values))
+        if {*map(type, names)} - {str}:
+            raise SelfCheckError("JSON writer: a key of a run payload's dict is not a str")
+        items = _value_texts(list(chain.from_iterable(map(dict.values, values))))
+        items = list(map(": ".join, zip(map(encode_basestring_ascii, names), items)))
+        return _containers(items, list(map(len, values)), "{}", indent)
+    return _value_texts(values)
+
+
 def _run_json(payloads: list[dict], single: bool) -> str:
-    """json.dumps(payload, indent=2) + "\n" of run payloads, through the C encoder.
+    """json.dumps(payload, indent=2) + "\n" of run payloads, a column at a time.
 
     payload is payloads[0] if single, else the list.  A value is a scalar, a float64
-    array (the probabilities) or a dict of scalars (the histogram).  The keys,
-    scalars and dicts of every payload take one json.dumps call, which writes each
-    dict item on a line of its own, and all arrays one _float_texts call.
+    array (the probabilities) or a dict of scalars under str keys (the histogram).
+    Payloads that share their key tuple and value types (all of a run's) share one
+    %-template per record.  Each column takes one C-encoder call: _value_texts for
+    scalars, _float_texts over its arrays joined, and for dicts one string-encoder map
+    over their keys and one _value_texts call over their values.  A single % fills the
+    templates of all payloads, joined, with every slot's text in payload order.
     """
-    scalars, arrays = [], []
-    for p in payloads:
-        for k, v in p.items():
-            if isinstance(v, np.ndarray):
-                scalars.append(k)
-                arrays.append(v)
-            else:
-                scalars += (k, v)
-    floats = iter(_float_texts(np.concatenate(arrays)) if arrays else ())
-    texts = iter(_scalar_texts(scalars))
+    groups: dict = {}
+    for i, p in enumerate(payloads):
+        groups.setdefault((tuple(p), tuple(map(type, p.values()))), []).append(i)
     indent = "  " if single else "    "
-    blocks = []
-    for p in payloads:
-        items = []
-        for v in p.values():
-            key = next(texts)
-            if isinstance(v, np.ndarray):
-                text = _block("[", list(islice(floats, v.size)), indent, "]")
-            elif isinstance(v, dict) and v:
-                # Lines '{"k": v', ..., '"k": v}': one item each, inside the braces.
-                lines = list(islice(texts, len(v)))
-                lines[0] = lines[0][1:]
-                lines[-1] = lines[-1][:-1]
-                text = _block("{", lines, indent, "}")
-            else:
-                text = next(texts)
-            items.append(f"{key}: {text}")
-        blocks.append(_block("{", items, indent[:-2], "}"))
-    return (blocks[0] if single else _block("[", blocks, "", "]")) + "\n"
+    templates: list = [None] * len(payloads)
+    fills: list = [None] * len(payloads)
+    for (keys, kinds), rows in groups.items():
+        if {*map(type, keys)} - {str}:
+            raise SelfCheckError("JSON writer: a key of a run payload is not a str")
+        columns = [
+            _run_column([payloads[i][key] for i in rows], kind, indent)
+            for key, kind in zip(keys, kinds)
+        ]
+        template = _block("{", [_slot(key, "%s") for key in keys], indent[:-2], "}")
+        for i, fill in zip(rows, zip(*columns) if columns else repeat(())):
+            templates[i], fills[i] = template, fill
+    document = templates[0] if single else _block("[", templates, "", "]")
+    return (document + "\n") % tuple(chain.from_iterable(fills))
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -428,6 +459,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out that cannot be opened as a file, before any table is read."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: no such directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+
+
 _HANDLERS = {
     "synth": cmd_synth,
     "run": cmd_run,
@@ -445,8 +485,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = _HANDLERS[args.command](args)
         out = getattr(args, "out", None)  # verify has no --out
+        if out is not None:
+            _check_out(out)
+        text, code = _HANDLERS[args.command](args)
         if out is None:
             sys.stdout.write(text)
         else:

@@ -8,8 +8,11 @@ telling constant-0 from constant-1), magnitude 0 means balanced.
 (B, 2^n) stacks that `boolfn.stacks` cuts, each row with the arithmetic of
 its table alone; `run_refined(t)` and `run_original(t)` are a stack of one.
 
-* refined: n qubits, the oracle is a diagonal phase circuit synthesized
-  from the function's ANF.
+* refined: n qubits, the oracle is the diagonal of the phase gates of the
+  function's ANF.  A stack takes them from one Moebius transform and one
+  gate-order gather over its joined coefficients (`gate_masks`, the masks
+  `synthesize` would give each circuit), applied as row << n | mask indices by
+  the simulator's one diagonal routine; no per-table Circuit is built.
 * original: H^(n+1), then the oracle, then H^(n+1) on |0...0>|1>, where
   qubit n+1 (the least significant bit) is the working qubit.  The oracle
   XORs f into it; it stays unentangled and ends in |1>, so the query
@@ -27,14 +30,14 @@ from enum import Enum
 import numpy as np
 
 from .boolfn import FunctionClass, TruthTable, classify, moebius_transforms, stacks
-from .oracle_compiler import SelfCheckError, synthesize
+from .oracle_compiler import SelfCheckError, gate_masks
 from .simulator import (
     MAX_QUBITS,
     NORM_GUARD_TOL,
     EntanglementProfile,
     StateVector,
-    apply_circuits,
     apply_hadamard_all,
+    apply_phase_block,
     hadamard_basis_state,
     probabilities,
     qubit_purity,
@@ -119,17 +122,23 @@ def _read_out(total: float, zero: float, purity: float | None, tol: float) -> Ve
 
 
 def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
-    """One oracle query on n qubits per row, each with its table's synthesized circuit."""
-    anfs = moebius_transforms(tables)
-    state = hadamard_basis_state(tables[0].n, 0, rows=len(tables))
-    apply_circuits(state, [synthesize(a) for a in anfs])
+    """One oracle query on n qubits per row, each with the phase gates of its table's ANF."""
+    n, rows = tables[0].n, len(tables)
+    # The tables are one `stacks` stack, so this is one moebius_stack call.
+    coeffs = b"".join([a.coeffs for a in moebius_transforms(tables)])
+    positions, masks = gate_masks(n, coeffs)
+    index = positions // ((1 << n) - 1)  # each gate's row, whose 2^n entries it indexes
+    index <<= n
+    index |= masks
+    state = hadamard_basis_state(n, 0, rows=rows)
+    apply_phase_block(state.amps, n, index, rows)
     apply_hadamard_all(state)
-    # The synthesized circuit omits the constant-1 monomial; restore its global -1
-    # so the zero amplitude carries the right sign.
-    flip = [a.has_constant_term for a in anfs]
-    if any(flip):
-        np.negative(state.amps, out=state.amps, where=np.array(flip)[:, None])
-    return state, probabilities(state), [None] * len(tables)
+    # The phase gates omit the constant-1 monomial; restore its global -1 so the zero
+    # amplitude carries the right sign.
+    flip = np.frombuffer(coeffs, bool)[:: 1 << n]
+    if flip.any():
+        np.negative(state.amps, out=state.amps, where=flip[:, None])
+    return state, probabilities(state), [None] * rows
 
 
 def _apply_xor_oracle(state: StateVector, bits: bytes) -> StateVector:

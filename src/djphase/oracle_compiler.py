@@ -208,16 +208,16 @@ def report_dicts(reports: Sequence[SynthesisReport]) -> list[dict]:
 def synthesize(a: Anf) -> Circuit:
     """One phase gate per monomial but the constant 1: phase flips by qubit,
     then controlled phases by index pair, then multi-controlled Zs by control tuple."""
-    return Circuit(a.n, _gate_masks(a.n, a.coeffs)[1])
+    return Circuit(a.n, gate_masks(a.n, a.coeffs)[1].tolist())
 
 
-def _gate_masks(n: int, coeffs: bytes) -> tuple[np.ndarray, list[int]]:
-    # For the ANFs on n qubits that `coeffs` joins, one gather over the gate order of
-    # all of them: the flat positions, row * (2^n - 1) + column, of each present mask
-    # in a (B, 2^n - 1) array, and the masks themselves.
+def gate_masks(n: int, coeffs: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """For the ANFs on n qubits that `coeffs` joins, one gather over the gate order of
+    all of them: the flat positions, row * (2^n - 1) + column, of each present mask in
+    a (B, 2^n - 1) array, ascending, and the masks themselves."""
     order = monomial_table(n).gate_order
     flat = np.frombuffer(coeffs, bool).reshape(-1, 1 << n).take(order, axis=1).ravel().nonzero()[0]
-    return flat, order[flat % len(order)].tolist()
+    return flat, order[flat % len(order)]
 
 
 def gate_counts(c: Circuit) -> GateCounts:
@@ -255,7 +255,8 @@ def synthesis_reports(tables: Sequence[TruthTable]) -> list[SynthesisReport]:
     for rows in stacks([1 << t.n for t in tables]):
         coeffs, anfs = moebius_stack([tables[i] for i in rows])
         n = anfs[0].n
-        positions, masks = _gate_masks(n, coeffs)
+        positions, masks = gate_masks(n, coeffs)
+        masks = masks.tolist()
         # Where each row's singles, pairs and rest end among the present positions.
         width = (1 << n) - 1
         cuts = [k * width + c for k in range(len(rows)) for c in (n, n * (n + 1) // 2, width)]

@@ -9,13 +9,15 @@ takes complex ones.  A run's first layer is the fill hadamard_basis_state;
 every other layer runs the butterflies.  Qubits map to array axes through one
 view and no axis permutation: qubit q is the middle axis of amps.reshape(...,
 2^(q-1), 2, 2^(n-q)), behind both the Hadamard butterfly and every one-qubit
-purity; phase gates index the (2,) * n reshape in apply_gate.  apply_circuit
-runs each block of consecutive phase-gate masks in Circuit.ops as one diagonal
-multiply, and apply_circuits gives each row of a stack its own circuit's
-diagonal, both built by numpy code of their own; a row whose circuit holds a
-Hadamard runs whole through apply_circuit.  The array is mutated in place,
-never through matrices; the equivalence check runs once on a real 2n-qubit
-identity state.  stacked_counts alone reads a draw, as each row's {index: count}.
+purity; a lone phase gate indexes the (2,) * n reshape in apply_gate.  Circuits
+and runs build their diagonals in one routine, apply_phase_block, which takes
+phase-gate masks as row << n | mask indices into a stack: apply_circuit runs
+each block of consecutive masks in Circuit.ops through it, apply_circuits the
+masks of every phase-only circuit of a stack at once (a row whose circuit holds
+a Hadamard runs whole through apply_circuit), and a refined run the gate-order
+gather of its stack's ANFs.  The array is mutated in place, never through
+matrices; the equivalence check runs once on a real 2n-qubit identity state.
+stacked_counts alone reads a draw, as each row's {index: count}.
 """
 
 from __future__ import annotations
@@ -94,11 +96,17 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
-def _apply_phase_block(amps: np.ndarray, n: int, index, rows: int = 1) -> None:
-    # index holds row * 2^n + mask for each gate -> count of each mod 2 -> at each
-    # basis index, the XOR of the row's masks it contains (one pass per axis): row r's
-    # diagonal is (-1)^parity on qubits 1..n, the most significant bits of its state.
-    # rows=1 gives every state of amps the one diagonal.
+def apply_phase_block(amps: np.ndarray, n: int, index, rows: int = 1) -> None:
+    """Multiply row r of amps by (-1) to the number of row r's masks each index contains.
+
+    index holds row << n | mask for each phase gate, in any order.  The diagonal is
+    built by code that shares nothing with boolfn's Moebius butterfly, so a run checks
+    the masks instead of undoing a wrong ANF.  rows=1 gives every state of amps the one
+    diagonal; n may be below the state's qubit count, as the gates act on qubits 1..n.
+    """
+    # index -> count of each mod 2 -> at each basis index, the XOR of the row's masks
+    # it contains (one pass per axis): row r's diagonal is (-1)^parity on qubits 1..n,
+    # the most significant bits of its state.
     if not len(index):
         return
     parity = np.bincount(index, minlength=rows << n) & 1
@@ -110,23 +118,19 @@ def _apply_phase_block(amps: np.ndarray, n: int, index, rows: int = 1) -> None:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply circuit's ops in order, each block of consecutive masks as one diagonal.
-
-    Hadamards, already checked by Circuit, end a block.  The diagonal, -1 to the number
-    of the block's masks each index contains, is built by code that shares nothing with
-    boolfn's Moebius butterfly, so a run checks the circuit instead of undoing a wrong ANF.
-    """
+    """Apply circuit's ops in order, each block of consecutive masks as one
+    apply_phase_block diagonal; Hadamards, already checked by Circuit, end a block."""
     if circuit.n > state.n:
         raise ValueError(f"circuit needs {circuit.n} qubits, state has {state.n}")
     masks: list[int] = []
     for op in circuit.ops:
         if isinstance(op, Hadamard):
-            _apply_phase_block(state.amps, circuit.n, masks)
+            apply_phase_block(state.amps, circuit.n, masks)
             masks = []
             _hadamard(state.amps, op.qubit)
         else:
             masks.append(op)
-    _apply_phase_block(state.amps, circuit.n, masks)
+    apply_phase_block(state.amps, circuit.n, masks)
     return state
 
 
@@ -148,7 +152,7 @@ def apply_circuits(state: StateVector, circuits: list[Circuit]) -> StateVector:
     index = np.fromiter(chain.from_iterable(masks), np.int64, sum(sizes))
     if len(masks) > 1:  # row r's masks index its own 2^n entries; row 0's need no shift
         index += np.repeat(np.arange(len(masks), dtype=np.int64) << n, sizes)
-    _apply_phase_block(state.amps, n, index, len(circuits))
+    apply_phase_block(state.amps, n, index, len(circuits))
     for row, c in whole.items():
         apply_circuit(StateVector(n, state.amps[row]), c)
     return state

@@ -17,12 +17,21 @@ import djphase.cli
 import djphase.dj_runner
 import djphase.simulator
 import djphase.verify
+from djphase.boolfn import qubit_mask
+from djphase.oracle_compiler import gate_masks
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def with_stray_cz(n, coeffs):
+    # The refined runner's gate gather with a cz 1 2 added to row 0, at its place in the
+    # gate order: column n, the first pair.  A run of one table is row 0 of its stack.
+    positions, masks = gate_masks(n, coeffs)
+    return np.append(positions, n), np.append(masks, qubit_mask(n, (1, 2)))
 
 
 class TestSynth:
@@ -257,14 +266,8 @@ class TestRun:
         assert err.startswith("error:")
 
     def test_self_check_failure_exit_code(self, capsys, monkeypatch):
-        from djphase.oracle_compiler import Circuit, Hadamard, synthesize as real_synthesize
-
-        def broken(anf):
-            c = real_synthesize(anf)
-            return Circuit(c.n, c.gates + (Hadamard(1),))
-
-        # f = x1; the stray Hadamard leaves 1/sqrt(2) on the all-zeros amplitude.
-        monkeypatch.setattr(djphase.dj_runner, "synthesize", broken)
+        # f = x1; the stray cz 1 2 leaves 0.5 on the all-zeros amplitude.
+        monkeypatch.setattr(djphase.dj_runner, "gate_masks", with_stray_cz)
         code, out, err = run_cli(capsys, "run", "--truth", "00001111")
         assert code == 4
         assert out == ""
@@ -413,14 +416,8 @@ class TestVerify:
         assert json.loads(out)[0]["detail"].startswith(first)
 
     def test_broken_runner_oracle_is_reported_not_aborted(self, capsys, monkeypatch):
-        from djphase.oracle_compiler import Circuit, PhaseGate, synthesize as real_synthesize
-
-        def broken(anf):
-            c = real_synthesize(anf)
-            return Circuit(c.n, c.gates + (PhaseGate((1, 2)),))
-
         # The stray cz breaks refined runs' self-check; the other suites still run.
-        monkeypatch.setattr(djphase.dj_runner, "synthesize", broken)
+        monkeypatch.setattr(djphase.dj_runner, "gate_masks", with_stray_cz)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 4
         for line in (
@@ -591,6 +588,37 @@ class TestOneOutputPath:
         text, code = _HANDLERS[args.command](args)
         assert capsys.readouterr() == ("", "")
         assert run_cli(capsys, *argv) == (code, text, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--truth", "0110"),
+            ("synth", "--truth-file", "missing.txt", "--format", "json"),
+            ("run", "--truth", "0110", "--format", "json"),
+            ("run", "--truth-file", "missing.txt", "--mode", "original"),
+            ("enumerate", "-n", "3"),
+            ("entangle", "-n", "3", "--format", "json"),
+        ],
+    )
+    def test_missing_out_directory_fails_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work began before --out was checked")
+
+        for name in ("_load_tables", "run_tables", "synthesis_reports", "enumeration_report",
+                     "entanglement_survey"):
+            monkeypatch.setattr(djphase.cli, name, unreachable)
+        out = tmp_path / "missing" / "out.txt"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {out}: no such directory {out.parent}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_is_a_directory_fails_before_any_work(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(djphase.cli, "synthesis_reports", None)  # any synth fails here
+        code, stdout, err = run_cli(capsys, "synth", "--truth", "0110", "--out", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {tmp_path} is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def _fault_layers(monkeypatch, fault):

@@ -10,8 +10,6 @@ import pytest
 import djphase.dj_runner
 import djphase.simulator
 from djphase import (
-    Circuit,
-    Hadamard,
     Mode,
     SelfCheckError,
     TruthTable,
@@ -19,11 +17,12 @@ from djphase import (
     run_original,
     run_refined,
     sample_counts,
-    synthesize,
     zero_amplitude_formula,
 )
+from djphase.boolfn import qubit_mask
 from djphase.cli import _histograms
 from djphase.dj_runner import entanglement_profiles, run_tables
+from djphase.oracle_compiler import gate_masks
 from djphase.reports import canonical_balanced
 from test_runner import hadamard_where_f_is_1
 
@@ -76,16 +75,19 @@ def test_histograms_equal_one_table_samples(mode, shots):
         assert hist == {format(i, f"0{t.n}b"): c for i, c in want.items()}, t.text
 
 
-def _with_stray_hadamards(anf):
-    # A Hadamard on each qubit with a linear term: f = x1 + ... + xk then reads a zero
-    # amplitude of 2^(-k/2), neither 0 nor +-1; a table with no linear term passes.
-    c = synthesize(anf)
-    linear = [q for q in range(1, c.n + 1) if 1 << (c.n - q) in c.ops]
-    return Circuit(c.n, c.ops + tuple(map(Hadamard, linear)))
+def _with_stray_cz(n, coeffs):
+    # The gate gather with a cz 1 2 on each row whose ANF holds x1, at its place in the
+    # gate order (column n, the first pair): f = x1 then reads a zero amplitude of 0.5
+    # and f = x1 + x2 one of -0.5, neither 0 nor +-1; a table without x1 passes.
+    positions, masks = gate_masks(n, coeffs)
+    width = (1 << n) - 1
+    rows = positions[masks == qubit_mask(n, (1,))] // width
+    stray = np.full(len(rows), qubit_mask(n, (1, 2)))
+    return np.append(positions, rows * width + n), np.append(masks, stray)
 
 
 FAULTS = {
-    Mode.REFINED: ("synthesize", _with_stray_hadamards, "zero amplitude"),
+    Mode.REFINED: ("gate_masks", _with_stray_cz, "zero amplitude"),
     Mode.ORIGINAL: ("_apply_xor_oracle", hadamard_where_f_is_1, "working qubit purity"),
 }
 
