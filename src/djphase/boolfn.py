@@ -273,11 +273,15 @@ def _butterfly(bits: bytes, n: int) -> bytes:
     return np.unpackbits(_xor_halves(packed, n - 3), count=len(bits)).tobytes()
 
 
+def moebius_coeffs(tables: Sequence[TruthTable]) -> bytes:
+    """The ANF coefficients of tables all on one n, joined: one butterfly call."""
+    return _butterfly(b"".join([t.bits for t in tables]), tables[0].n)
+
+
 def moebius_stack(tables: Sequence[TruthTable]) -> tuple[bytes, list[Anf]]:
-    """One butterfly call over tables all on one n: their ANF coefficients joined, and
-    their ANFs."""
+    """moebius_coeffs of tables all on one n, and their ANFs."""
     n, size = tables[0].n, 1 << tables[0].n
-    coeffs = _butterfly(b"".join([t.bits for t in tables]), n)
+    coeffs = moebius_coeffs(tables)
     starts = range(0, len(coeffs), size)
     return coeffs, [_fill(object.__new__(Anf), n, coeffs[s : s + size]) for s in starts]
 

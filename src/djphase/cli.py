@@ -11,8 +11,9 @@ Subcommands:
 Each `cmd_*` handler returns its output text and exit code, and `main`
 is the one place that writes it, to `--out` or to stdout.  A result has
 one representation, the dict that `--format json` (`verify --json`)
-dumps; the text views render that same dict.  `synth` text is the
-circuit text format instead, so it never renders the ANF.
+dumps, or for `run` one column of texts per key; the text views render
+that same dict or those columns.  `synth` text is the circuit text format
+instead, so it never renders the ANF.
 
 Exit codes: 0 success; 2 bad input, including a --tol outside
 1e-12 <= tol < 0.5, a `run --shots` outside 0..MAX_SHOTS (above 0 with
@@ -23,11 +24,13 @@ the run mode or for `synth` (n > 20);
 inside any other command.
 JSON output is byte-identical across runs for the same inputs, and equals
 json.dumps(payload, indent=2) plus a newline without running the stdlib's
-pure-Python indent encoder.  Every command fills one %-template per record, each
-column of values encoded by one C-encoder call: _records_json takes records of
-one shape, and _run_json groups `run` payloads by key tuple and value types,
-each probability array and histogram one slot, as their lengths change from
-table to table.
+pure-Python indent encoder.  Every command fills one %-template per record
+through _fill, each column of values encoded by one C-encoder call:
+_records_json takes records of one shape, and `run` builds no record at all.
+Its columns of texts come straight from each dj_runner.run_stacks stack's
+arrays (_run_columns), a probability array or histogram being one slot, as
+their lengths change from table to table; _columns_json lays them out, and the
+text view fills its own template from the same columns.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, repeat
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -50,9 +53,10 @@ from .dj_runner import (
     Mode,
     PromiseViolationError,
     SelfCheckError,
+    Verdict,
     check_tol,
     classical_decide,
-    run_tables,
+    run_stacks,
 )
 from .simulator import MAX_QUBITS, stacked_counts
 from .verify import run_verification
@@ -175,52 +179,6 @@ def _containers(items: list[str], sizes: list[int], brackets: str, indent: str) 
     return out
 
 
-def _run_column(values: list, kind: type, indent: str) -> list[str]:
-    """The slot text of each value of one column of run payloads, all of type kind."""
-    if kind is np.ndarray:
-        texts = _float_texts(np.concatenate(values))
-        return _containers(texts, [a.size for a in values], "[]", indent)
-    if kind is dict:
-        names = list(chain.from_iterable(values))
-        if {*map(type, names)} - {str}:
-            raise SelfCheckError("JSON writer: a key of a run payload's dict is not a str")
-        items = _value_texts(list(chain.from_iterable(map(dict.values, values))))
-        items = list(map(": ".join, zip(map(encode_basestring_ascii, names), items)))
-        return _containers(items, list(map(len, values)), "{}", indent)
-    return _value_texts(values)
-
-
-def _run_json(payloads: list[dict], single: bool) -> str:
-    """json.dumps(payload, indent=2) + "\n" of run payloads, a column at a time.
-
-    payload is payloads[0] if single, else the list.  A value is a scalar, a float64
-    array (the probabilities) or a dict of scalars under str keys (the histogram).
-    Payloads that share their key tuple and value types (all of a run's) share one
-    %-template per record.  Each column takes one C-encoder call: _value_texts for
-    scalars, _float_texts over its arrays joined, and for dicts one string-encoder map
-    over their keys and one _value_texts call over their values.  A single % fills the
-    templates of all payloads, joined, with every slot's text in payload order.
-    """
-    groups: dict = {}
-    for i, p in enumerate(payloads):
-        groups.setdefault((tuple(p), tuple(map(type, p.values()))), []).append(i)
-    indent = "  " if single else "    "
-    templates: list = [None] * len(payloads)
-    fills: list = [None] * len(payloads)
-    for (keys, kinds), rows in groups.items():
-        if {*map(type, keys)} - {str}:
-            raise SelfCheckError("JSON writer: a key of a run payload is not a str")
-        columns = [
-            _run_column([payloads[i][key] for i in rows], kind, indent)
-            for key, kind in zip(keys, kinds)
-        ]
-        template = _block("{", [_slot(key, "%s") for key in keys], indent[:-2], "}")
-        for i, fill in zip(rows, zip(*columns) if columns else repeat(())):
-            templates[i], fills[i] = template, fill
-    document = templates[0] if single else _block("[", templates, "", "]")
-    return (document + "\n") % tuple(chain.from_iterable(fills))
-
-
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
@@ -291,19 +249,41 @@ def _template(records: list[dict], indent: str) -> tuple[str, list[list[str]]]:
     return _block("{", items, indent, "}"), columns
 
 
+def _fill(template: str, count: int, columns: list, indent: str, single: bool, end: str) -> str:
+    """count records of one %-template, in a list at indent unless single, and end, filled
+    by a single % with columns[j][r], the text of slot j of record r, in record order, so
+    that no Python call runs per value."""
+    if not single:
+        template = _block("[", [template] * count, indent, "]")
+    return (template + end) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def _records_text(records: list[dict], indent: str, single: bool = False, end: str = "") -> str:
     """json.dumps(records[0] if single else records, indent=2) + end, first line at indent.
 
-    The records share one shape (see _template).  One template per record, joined, is
-    filled by a single % with every slot's text in record order, so no Python call
-    runs per value.
+    The records share one shape (see _template), laid out by _fill.
     """
     if not records:
         return "[]" + end
     template, columns = _template(records, indent if single else indent + "  ")
-    if not single:
-        template = _block("[", [template] * len(records), indent, "]")
-    return (template + end) % tuple(chain.from_iterable(zip(*columns)))
+    return _fill(template, len(records), columns, indent, single, end)
+
+
+def _columns_json(columns: dict[str, list[str]], single: bool) -> str:
+    """json.dumps(records[0] if single else records, indent=2) + "\n", record r being
+    {key: the value whose JSON text is columns[key][r]}.
+
+    A text lays out a container as json.dumps would at the record's key indent (4
+    spaces in a list, 2 if single), as _containers does.  A non-str key, or columns of
+    unequal length, raises SelfCheckError.
+    """
+    if {*map(type, columns)} - {str}:
+        raise SelfCheckError("JSON writer: a key of a run record is not a str")
+    if len({*map(len, columns.values())}) != 1:
+        raise SelfCheckError("JSON writer: the columns of run records differ in length")
+    template = _block("{", [_slot(key, "%s") for key in columns], "" if single else "  ", "}")
+    texts = list(columns.values())
+    return _fill(template, len(texts[0]), texts, "", single, "\n")
 
 
 def _records_json(records: list[dict], single: bool) -> str:
@@ -340,45 +320,75 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     return items[0] if single else "\n".join(items), EXIT_OK
 
 
-def _histograms(probs: list[np.ndarray], shots: int, seed: int) -> list[dict[str, int]]:
-    """{bits: count} of `shots` draws from each distribution, equal sizes as one stack."""
-    out: list = [None] * len(probs)
-    for rows in stacks([p.size for p in probs]):
-        counts = stacked_counts(np.array([probs[i] for i in rows]), shots, seed)
-        width = probs[rows[0]].size.bit_length() - 1
-        # Each distinct outcome of the stack is formatted once.
-        labels = {k: format(k, f"0{width}b") for k in set().union(*counts)}
-        for i, row in zip(rows, counts):
-            out[i] = {labels[k]: count for k, count in row.items()}
-    return out
+def _histogram_texts(probs: np.ndarray, shots: int, seed: int, indent: str | None) -> list[str]:
+    """The histogram of `shots` draws from each row of a (B, 2^n) stack: its {bits: count}
+    JSON text at indent, or with indent None the text view's "\n  bits count" lines."""
+    row_of, index, count = stacked_counts(probs, shots, seed)
+    width = probs.shape[-1].bit_length() - 1
+    # Each distinct (outcome, count) pair of the stack is formatted once.
+    pairs, inverse = np.unique(index * (shots + 1) + count, return_inverse=True)
+    item = "\n  %s %d" if indent is None else '"%s": %d'
+    texts = [item % (format(p // (shots + 1), f"0{width}b"), p % (shots + 1))
+             for p in pairs.tolist()]
+    items = np.array(texts, dtype=object)[inverse].tolist()
+    sizes = np.bincount(row_of, minlength=len(probs)).tolist()
+    if indent is not None:
+        return _containers(items, sizes, "{}", indent)
+    ends = list(accumulate(sizes))
+    return ["".join(items[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _run_payloads(tables: list[TruthTable], args: argparse.Namespace) -> list[dict]:
+def _run_columns(tables: list[TruthTable], args: argparse.Namespace, as_json: bool) -> dict:
+    """The text of each value of a run's records, a column per key in record order: JSON
+    texts, or the text view's, which prints a str bare and has no probabilities.
+
+    Each run_stacks stack adds its part to every column from its arrays: texts, or the
+    floats of a scalar column, encoded for all stacks at once.  One gather puts each
+    column in file order.  A float prints alike in both views, as every float that a
+    run passing its self-checks reads out is finite.
+    """
+    quote = encode_basestring_ascii if as_json else str
     if args.mode == "classical":
-        return [
-            {"truth_table": t.text, "mode": "classical", "verdict": out.verdict.value,
-             "queries_used": out.queries_used}
-            for t, out in zip(tables, map(classical_decide, tables))
-        ]
-    outcomes = run_tables(tables, Mode(args.mode), tol=args.tol)
-    payloads = []
-    for t, out in zip(tables, outcomes):
-        payload = {
-            "truth_table": t.text,
-            "mode": out.mode.value,
-            "verdict": out.verdict.value,
-            "zero_amplitude": out.zero_amplitude,
-            "queries_used": out.queries_used,
-            "probabilities": out.final_probabilities,
+        outcomes = list(map(classical_decide, tables))
+        return {
+            "truth_table": [quote(t.text) for t in tables],
+            "mode": [quote(args.mode)] * len(tables),
+            "verdict": [quote(out.verdict.value) for out in outcomes],
+            "queries_used": [str(out.queries_used) for out in outcomes],
         }
-        if out.working_qubit_purity is not None:
-            payload["working_qubit_purity"] = out.working_qubit_purity
-        payloads.append(payload)
-    if args.shots:
-        probs = [out.final_probabilities for out in outcomes]
-        for payload, hist in zip(payloads, _histograms(probs, args.shots, args.seed)):
-            payload["histogram"] = hist
-    return payloads
+    # No state is printed: let each stack's go before the texts are built.
+    runs = [s._replace(state=None) for s in run_stacks(tables, Mode(args.mode), args.tol)]
+    verdicts = {v: quote(v.value) for v in Verdict}
+    indent = "  " if args.truth is not None else "    "
+    parts: dict = {}
+    for s in runs:
+        probs, size = s.probabilities, len(s.rows)
+        stack = {
+            "truth_table": [quote(tables[i].text) for i in s.rows],
+            "mode": [quote(args.mode)] * size,
+            "verdict": list(map(verdicts.__getitem__, s.verdicts)),
+            "zero_amplitude": s.zeros,
+            "queries_used": ["1"] * size,
+        }
+        if as_json:
+            items = _float_texts(probs.ravel())
+            stack["probabilities"] = _containers(items, [probs.shape[1]] * size, "[]", indent)
+        if s.purities is not None:
+            stack["working_qubit_purity"] = s.purities
+        if args.shots:
+            layout = indent if as_json else None
+            stack["histogram"] = _histogram_texts(probs, args.shots, args.seed, layout)
+        for key, part in stack.items():
+            parts.setdefault(key, []).append(part)
+    order = np.argsort(np.concatenate([s.rows for s in runs])).tolist()
+    columns = {}
+    for key, column in parts.items():
+        if isinstance(column[0], np.ndarray):
+            texts = _float_texts(np.concatenate(column))
+        else:
+            texts = list(chain.from_iterable(column))
+        columns[key] = list(map(texts.__getitem__, order))
+    return columns
 
 
 def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
@@ -389,20 +399,15 @@ def cmd_run(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"--shots must be 0 with --mode classical, got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    payloads = _run_payloads(_load_tables(args), args)
-    if args.format == "json":
-        return _run_json(payloads, args.truth is not None), EXIT_OK
-    # One `key: value` line per field, in payload order; str(float) is repr(float).
-    blocks = []
-    for payload in payloads:
-        lines = []
-        for key, value in payload.items():
-            if key == "histogram":
-                lines += ["histogram:", *(f"  {bits} {count}" for bits, count in value.items())]
-            elif key != "probabilities":
-                lines.append(f"{key}: {value}")
-        blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks), EXIT_OK
+    tables = _load_tables(args)
+    as_json = args.format == "json"
+    columns = _run_columns(tables, args, as_json)
+    if as_json:
+        return _columns_json(columns, args.truth is not None), EXIT_OK
+    # One `key: value` line per field, in record order; a blank line between records.
+    template = "".join(f"{key}:%s\n" if key == "histogram" else f"{key}: %s\n" for key in columns)
+    fills = tuple(chain.from_iterable(zip(*columns.values())))
+    return "\n".join([template] * len(tables)) % fills, EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:

@@ -4,15 +4,22 @@ Two quantum variants share one prologue, `check_run`, and one read-out:
 once the final probabilities sum to 1, the all-zeros amplitude after the
 final Hadamard layer decides: magnitude 1 means constant (the sign
 telling constant-0 from constant-1), magnitude 0 means balanced.
-`run_tables` and `entanglement_profiles` walk a list of tables as the
-(B, 2^n) stacks that `boolfn.stacks` cuts, each row with the arithmetic of
-its table alone; `run_refined(t)` and `run_original(t)` are a stack of one.
+`run_stacks` is the stacked core: it makes the prologue's checks once for a
+whole list (one tol check, one weight per table, the first failing table
+raising check_run's error) before any run, walks the list as the (B, 2^n)
+stacks that `boolfn.stacks` cuts, each row with the arithmetic of its table
+alone, and gives each stack's outcomes as columns (`RunStack`): arrays, and
+one verdict per row from `_read_out` on the row's floats.  `run_tables`
+views those columns as one `DjOutcome` per table, and `run_refined(t)` and
+`run_original(t)` are a stack of one.  `entanglement_profiles` walks the
+same stacks.
 
 * refined: n qubits, the oracle is the diagonal of the phase gates of the
-  function's ANF.  A stack takes them from one Moebius transform and one
-  gate-order gather over its joined coefficients (`gate_masks`, the masks
-  `synthesize` would give each circuit), applied as row << n | mask indices by
-  the simulator's one diagonal routine; no per-table Circuit is built.
+  function's ANF.  A stack takes them from one butterfly over its joined bits
+  (`moebius_coeffs`) and one gate-order gather over the coefficients
+  (`gate_masks`, the masks `synthesize` would give each circuit), applied as
+  row << n | mask indices by the simulator's one diagonal routine; no per-table
+  Anf or Circuit is built.
 * original: H^(n+1), then the oracle, then H^(n+1) on |0...0>|1>, where
   qubit n+1 (the least significant bit) is the working qubit.  The oracle
   XORs f into it; it stays unentangled and ends in |1>, so the query
@@ -26,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import FunctionClass, TruthTable, classify, moebius_transforms, stacks
+from .boolfn import FunctionClass, TruthTable, classify, moebius_coeffs, stacks
 from .oracle_compiler import SelfCheckError, gate_masks
 from .simulator import (
     MAX_QUBITS,
@@ -70,6 +78,17 @@ class DjOutcome:
     mode: Mode
     final_amplitudes: np.ndarray
     working_qubit_purity: float | None
+
+
+class RunStack(NamedTuple):
+    """The outcomes of one stack of a run as columns, row k being table rows[k]."""
+
+    rows: list[int]
+    zeros: np.ndarray  # zero amplitude of each row
+    verdicts: list[Verdict]
+    probabilities: np.ndarray  # (B, 2^n) final distributions of the query register
+    purities: np.ndarray | None  # working-qubit purities of an original run
+    state: StateVector | None  # the final states, None where a caller lets them go
 
 
 @dataclass(frozen=True)
@@ -121,11 +140,10 @@ def _read_out(total: float, zero: float, purity: float | None, tol: float) -> Ve
     raise SelfCheckError(f"zero amplitude {zero!r} is neither near 0 nor near +-1; bad oracle?")
 
 
-def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
+def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, None]:
     """One oracle query on n qubits per row, each with the phase gates of its table's ANF."""
     n, rows = tables[0].n, len(tables)
-    # The tables are one `stacks` stack, so this is one moebius_stack call.
-    coeffs = b"".join([a.coeffs for a in moebius_transforms(tables)])
+    coeffs = moebius_coeffs(tables)
     positions, masks = gate_masks(n, coeffs)
     index = positions // ((1 << n) - 1)  # each gate's row, whose 2^n entries it indexes
     index <<= n
@@ -138,7 +156,7 @@ def _run_refined_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarra
     flip = np.frombuffer(coeffs, bool)[:: 1 << n]
     if flip.any():
         np.negative(state.amps, out=state.amps, where=flip[:, None])
-    return state, probabilities(state), [None] * rows
+    return state, probabilities(state), None
 
 
 def _apply_xor_oracle(state: StateVector, bits: bytes) -> StateVector:
@@ -151,13 +169,13 @@ def _apply_xor_oracle(state: StateVector, bits: bytes) -> StateVector:
     return state
 
 
-def _run_original_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, list]:
+def _run_original_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarray, np.ndarray]:
     """H^(n+1) . XOR oracle . H^(n+1) on |0...0>|1> per row, with each working qubit's
     purity right after the oracle."""
     n, rows = tables[0].n, len(tables)
     state = hadamard_basis_state(n + 1, 1, rows=rows)
-    _apply_xor_oracle(state, b"".join(t.bits for t in tables))
-    purities = qubit_purity(state, n + 1).tolist()
+    _apply_xor_oracle(state, b"".join([t.bits for t in tables]))
+    purities = qubit_purity(state, n + 1)
     apply_hadamard_all(state)
     # The working qubit is back in |1>, so the query-register amplitudes are the odd
     # entries.
@@ -165,36 +183,61 @@ def _run_original_stack(tables: list[TruthTable]) -> tuple[StateVector, np.ndarr
     return state, marginal, purities
 
 
-def run_tables(
-    tables: list[TruthTable], mode: Mode, tol: float = VERDICT_TOL
-) -> list[DjOutcome]:
-    """The run of each table in `mode`, in order, after check_run on every one.
-
-    Each `stacks` stack runs as one (B, 2^n) state (B * 2^qubits <= MAX_STACK_AMPLITUDES,
-    a wider table alone) with the arithmetic of one state per row, so each outcome
-    equals its table's run alone bit for bit.  If any row fails a self-check, the
-    SelfCheckError of the first such table in order is raised.
-    """
+def _check_tables(tables: list[TruthTable], mode: Mode, tol: float) -> None:
+    """check_run on every table, in one pass: the first failing table raises its error."""
+    check_tol(tol)
+    limit = MAX_QUBITS - (mode == Mode.ORIGINAL)
     for t in tables:
-        check_run(t, mode, tol)
+        weight = t.bits.count(1)  # constant: 0 or 2^n; balanced: 2^(n-1)
+        if t.n > limit or weight and weight != len(t.bits) and 2 * weight != len(t.bits):
+            check_run(t, mode, tol)
+
+
+def run_stacks(tables: list[TruthTable], mode: Mode, tol: float = VERDICT_TOL) -> list[RunStack]:
+    """The run of each table in `mode` as one RunStack per `stacks` stack, after the
+    checks of check_run on every table.
+
+    Each stack runs as one (B, 2^n) state (B * 2^qubits <= MAX_STACK_AMPLITUDES, a
+    wider table alone) with the arithmetic of one state per row, so each row equals its
+    table's run alone bit for bit.  Every stack runs before a self-check raises, so that
+    the error is that of the first failing table in order.
+    """
+    _check_tables(tables, mode, tol)
     original = mode == Mode.ORIGINAL
     run_stack = _run_original_stack if original else _run_refined_stack
-    outcomes: list = [None] * len(tables)
+    out, first = [], None
     for rows in stacks([1 << (t.n + original) for t in tables]):
         state, probs, purities = run_stack([tables[i] for i in rows])
         # An original run's working qubit ends in |1>: its zero amplitude is entry 1.
-        zeros = state.amps[:, int(original)].real.tolist()
-        totals = probs.sum(axis=-1).tolist()
-        for k, (i, purity) in enumerate(zip(rows, purities)):
+        zeros = state.amps[:, int(original)].real.copy()
+        values = zip(rows, probs.sum(axis=-1).tolist(), zeros.tolist(),
+                     [None] * len(rows) if purities is None else purities.tolist())
+        verdicts = []
+        for i, total, zero, purity in values:
             try:
-                verdict = _read_out(totals[k], zeros[k], purity, tol)
+                verdicts.append(_read_out(total, zero, purity, tol))
             except SelfCheckError as exc:
-                outcomes[i] = exc
-                continue
-            outcomes[i] = DjOutcome(verdict, zeros[k], probs[k], 1, mode, state.amps[k], purity)
-    for out in outcomes:
-        if isinstance(out, SelfCheckError):
-            raise out
+                if first is None or i < first[0]:
+                    first = i, exc
+                break  # the stack's later rows come later in the file
+        out.append(RunStack(rows, zeros, verdicts, probs, purities, state))
+    if first is not None:
+        raise first[1]
+    return out
+
+
+def run_tables(
+    tables: list[TruthTable], mode: Mode, tol: float = VERDICT_TOL
+) -> list[DjOutcome]:
+    """The DjOutcome of each table's run in `mode`, in order: run_stacks' rows."""
+    outcomes: list = [None] * len(tables)
+    for s in run_stacks(tables, mode, tol):
+        purities = [None] * len(s.rows) if s.purities is None else s.purities.tolist()
+        columns = zip(s.rows, s.zeros.tolist(), s.verdicts, purities)
+        for k, (i, zero, verdict, purity) in enumerate(columns):
+            outcomes[i] = DjOutcome(
+                verdict, zero, s.probabilities[k], 1, mode, s.state.amps[k], purity
+            )
     return outcomes
 
 

@@ -17,7 +17,8 @@ masks of every phase-only circuit of a stack at once (a row whose circuit holds
 a Hadamard runs whole through apply_circuit), and a refined run the gate-order
 gather of its stack's ANFs.  The array is mutated in place, never through
 matrices; the equivalence check runs once on a real 2n-qubit identity state.
-stacked_counts alone reads a draw, as each row's {index: count}.
+stacked_counts alone reads a draw, as (row_of, index, count) arrays over a
+stack's observed outcomes; sample_counts and sample give one state's as a dict.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
-def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> list[dict[int, int]]:
-    """Observed {index: count} of `shots` draws from each row of a (B, D) stack, keys ascending.
+def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The observed outcomes of `shots` draws from each row of a (B, D) stack, as arrays
+    (row_of, index, count) in row-major order: row row_of[j] saw index[j] count[j] times.
 
     Every row takes the same draws u, the seed's first `shots` uniforms, sorted once:
     index k counts the draws in [cdf[k-1], cdf[k]), the last index takes the rest.
@@ -204,15 +206,14 @@ def stacked_counts(probs: np.ndarray, shots: int, seed: int) -> list[dict[int, i
     below = np.searchsorted(u, np.cumsum(probs / totals, axis=-1))
     below[..., -1] = shots
     counts = np.diff(below, axis=-1, prepend=0)
-    row_of, seen = np.nonzero(counts)  # every observed outcome, in row-major order
-    values, seen = counts[row_of, seen].tolist(), seen.tolist()
-    ends = np.bincount(row_of, minlength=len(counts)).cumsum().tolist()
-    return [dict(zip(seen[a:b], values[a:b])) for a, b in zip([0, *ends], ends)]
+    row_of, index = np.nonzero(counts)
+    return row_of, index, counts[row_of, index]
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
-    """stacked_counts of one probability vector: row 0 of a stack that holds it."""
-    return stacked_counts(np.asarray(probs)[None], shots, seed)[0]
+    """{index: count} of stacked_counts on one probability vector, keys ascending."""
+    _, index, count = stacked_counts(np.asarray(probs)[None], shots, seed)
+    return dict(zip(index.tolist(), count.tolist()))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:

@@ -257,9 +257,9 @@ class TestRun:
 
     def test_oversized_table_rejected_before_work(self, capsys, monkeypatch):
         def unreachable(t):
-            raise AssertionError("moebius_transforms ran on an oversized table")
+            raise AssertionError("moebius_coeffs ran on an oversized table")
 
-        monkeypatch.setattr(djphase.dj_runner, "moebius_transforms", unreachable)
+        monkeypatch.setattr(djphase.dj_runner, "moebius_coeffs", unreachable)
         code, out, err = run_cli(capsys, "run", "--truth", "0" * (1 << 21))
         assert code == 2
         assert out == ""
@@ -604,7 +604,7 @@ class TestOneOutputPath:
         def unreachable(*args, **kwargs):
             raise AssertionError("work began before --out was checked")
 
-        for name in ("_load_tables", "run_tables", "synthesis_reports", "enumeration_report",
+        for name in ("_load_tables", "run_stacks", "synthesis_reports", "enumeration_report",
                      "entanglement_survey"):
             monkeypatch.setattr(djphase.cli, name, unreachable)
         out = tmp_path / "missing" / "out.txt"

@@ -4,7 +4,10 @@ The reference is `json.dumps(payload, indent=2)` on the payload with each
 probability array turned into a list by `.tolist()`: CPython's pure-Python
 encoder, which shares no code with the run writer's C-encoder calls.  The
 command's payloads are rebuilt one table at a time from `run_refined` or
-`run_original` and the per-draw sampler of `tests/oracles.py`.
+`run_original` and the per-draw sampler of `tests/oracles.py`.  The writer
+takes a text column per key; `_written` builds them with the encoders the
+command uses: `_value_texts` for scalars, `_float_texts` and `_containers` for
+arrays and dicts.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from json.encoder import encode_basestring_ascii
+
 from djphase import cli, run_original, run_refined
 from djphase.boolfn import parse_truth_table
+from djphase.dj_runner import SelfCheckError
 
 
 def reference(payloads: list[dict], single: bool) -> str:
@@ -29,6 +35,25 @@ def reference(payloads: list[dict], single: bool) -> str:
         for p in payloads
     ]
     return json.dumps(plain[0] if single else plain, indent=2) + "\n"
+
+
+def _written(rows: list[dict], single: bool) -> str:
+    """The writer's text of rows that share one key tuple, each key's values of one kind."""
+    indent = "  " if single else "    "
+    columns = {}
+    for key in rows[0]:
+        values = [r[key] for r in rows]
+        if isinstance(values[0], np.ndarray):
+            texts = cli._float_texts(np.concatenate(values))
+            columns[key] = cli._containers(texts, list(map(len, values)), "[]", indent)
+        elif isinstance(values[0], dict):
+            names = [encode_basestring_ascii(k) for v in values for k in v]
+            texts = cli._value_texts([x for v in values for x in v.values()])
+            items = [f"{name}: {text}" for name, text in zip(names, texts)]
+            columns[key] = cli._containers(items, list(map(len, values)), "{}", indent)
+        else:
+            columns[key] = cli._value_texts(values)
+    return cli._columns_json(columns, single)
 
 
 def _bits_float(pattern: int) -> float:
@@ -41,7 +66,7 @@ SPECIAL = [
     _bits_float(0xFFF8000000000000),  # NaN with the sign bit
 ]
 floats = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True)
-awkward = st.sampled_from('ab"\\\n\t\x00\x7fé€𝄞')  # quote, backslash, controls, non-ASCII
+awkward = st.sampled_from('ab"\\\n\t\x00\x7f%é€𝄞')  # quote, backslash, controls, %, non-ASCII
 text = st.text(alphabet=awkward, max_size=6) | st.text(max_size=6)
 scalars = st.none() | st.booleans() | st.integers() | floats | text
 
@@ -57,24 +82,49 @@ def arrays(draw):
     return np.array(values, dtype=np.float64)
 
 
-# The writer's one nested value is a dict of scalars under str keys (the histogram).
+# A nested value is a dict of scalars under str keys (the histogram) or a float array.
 flat_dicts = st.dictionaries(text, scalars, max_size=3)
 histograms = st.dictionaries(st.text(alphabet="01", min_size=3, max_size=3), st.integers(1, 99))
-payloads = st.dictionaries(text, scalars | arrays() | flat_dicts | histograms, max_size=6)
+kinds = st.sampled_from([scalars, arrays(), flat_dicts, histograms])
+
+
+@st.composite
+def records(draw):
+    # One key tuple for every record, as every run has, and one kind of value per key.
+    keys = draw(st.lists(text, min_size=1, max_size=6, unique=True))
+    columns = [(key, draw(kinds)) for key in keys]
+    count = draw(st.integers(1, 4))
+    return [{key: draw(kind) for key, kind in columns} for _ in range(count)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(payloads, min_size=1, max_size=4), st.booleans())
+@given(records(), st.booleans())
 def test_writer_matches_stdlib_encoder(rows, single):
     rows = rows[:1] if single else rows
-    assert cli._run_json(rows, single) == reference(rows, single)
+    assert _written(rows, single) == reference(rows, single)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"a": ["1", "2"], "b": ["3"]},
+        {"a": ["1"], 2: ["3"]},
+        {"a": ["1"], None: ["3"]},
+        {},
+    ],
+    ids=["unequal-lengths", "int-key", "none-key", "no-column"],
+)
+def test_odd_columns_raise(columns):
+    for single in (True, False):
+        with pytest.raises(SelfCheckError):
+            cli._columns_json(columns, single)
 
 
 @pytest.mark.parametrize("values", [[], [0.5], [-0.0, 0.0, -0.0], [math.nan, math.inf, -math.inf]])
 def test_edge_arrays(values):
     rows = [{"probabilities": np.array(values, dtype=np.float64), "s": 'a"\\\nü'}]
     for single in (True, False):
-        assert cli._run_json(rows, single) == reference(rows, single)
+        assert _written(rows, single) == reference(rows, single)
 
 
 @pytest.mark.parametrize(
@@ -105,17 +155,18 @@ def test_nan_payloads_encode_as_nan():
     values = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], np.uint64)
     rows = [{"probabilities": values.view(np.float64)}]
     nans = ",\n".join(["    NaN"] * 3)
-    assert cli._run_json(rows, True) == f'{{\n  "probabilities": [\n{nans}\n  ]\n}}\n'
+    assert _written(rows, True) == f'{{\n  "probabilities": [\n{nans}\n  ]\n}}\n'
 
 
 def test_histogram_shaped_value_at_both_depths():
     rows = [
         {"truth_table": "0110", "probabilities": np.array([0.0, 0.0, 1.0, 0.0]),
-         "histogram": {"10": 5}},
-        {"truth_table": "0011", "histogram": {"01": 2, "11": 3}, "zero_amplitude": -0.0},
+         "histogram": {"10": 5}, "zero_amplitude": 0.0},
+        {"truth_table": "0011", "probabilities": np.array([0.0, -0.0]),
+         "histogram": {"01": 2, "11": 3}, "zero_amplitude": -0.0},
     ]
-    assert cli._run_json(rows[:1], True) == reference(rows[:1], True)
-    assert cli._run_json(rows, False) == reference(rows, False)
+    assert _written(rows[:1], True) == reference(rows[:1], True)
+    assert _written(rows, False) == reference(rows, False)
 
 
 def _balanced(n: int, seed: int) -> str:
@@ -164,10 +215,24 @@ def test_single_table_run(capsys, mode, table):
     assert capsys.readouterr().out == _expected([table], mode, 0, True)
 
 
+def _batch() -> list[str]:
+    # Shaped like the benchmark's batch-small: many small tables of interleaved n,
+    # constants among them, so that each n is one stack whose rows are far apart.
+    tables = []
+    for n in range(1, 7):
+        tables += [_balanced(n, 100 * n + k) for k in range(20)] + ["0" * (1 << n), "1" * (1 << n)]
+    order = np.random.default_rng(6).permutation(len(tables))
+    return [tables[i] for i in order.tolist()]
+
+
+WIDE = [_balanced(12, 3), "1" * 4096, _sparse(12), _balanced(16, 4), _sparse(16), "01"]
+
+
 @pytest.mark.parametrize("mode", ["refined", "original"])
-@pytest.mark.parametrize("shots", [0, 40])
-def test_truth_file_run(capsys, tmp_path, mode, shots):
-    tables = [_balanced(12, 3), "1" * 4096, _sparse(12), _balanced(16, 4), _sparse(16), "01"]
+@pytest.mark.parametrize(
+    "shots,tables", [(0, WIDE), (40, WIDE), (64, _batch())], ids=["0", "40", "batch-64"]
+)
+def test_truth_file_run(capsys, tmp_path, mode, shots, tables):
     path = tmp_path / "tables.txt"
     path.write_text("\n".join(tables) + "\n", encoding="utf-8")
     argv = ["run", "--truth-file", str(path), "--mode", mode, "--format", "json"]

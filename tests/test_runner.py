@@ -99,9 +99,9 @@ class TestRunRefined:
 
     def test_size_limit_checked_before_transform(self, monkeypatch):
         def unreachable(t):
-            raise AssertionError("moebius_transforms ran on an oversized table")
+            raise AssertionError("moebius_coeffs ran on an oversized table")
 
-        monkeypatch.setattr(djphase.dj_runner, "moebius_transforms", unreachable)
+        monkeypatch.setattr(djphase.dj_runner, "moebius_coeffs", unreachable)
         with pytest.raises(ValueError, match="n <= 20"):
             run_refined(TruthTable(21, (0,) * (1 << 21)))
 

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import djphase.cli
 import djphase.dj_runner
 import djphase.simulator
 from djphase import (
@@ -19,11 +20,12 @@ from djphase import (
     sample_counts,
     zero_amplitude_formula,
 )
-from djphase.boolfn import qubit_mask
-from djphase.cli import _histograms
-from djphase.dj_runner import entanglement_profiles, run_tables
+from djphase.boolfn import qubit_mask, stacks
+from djphase.cli import _histogram_texts
+from djphase.dj_runner import entanglement_profiles, run_stacks, run_tables
 from djphase.oracle_compiler import gate_masks
 from djphase.reports import canonical_balanced
+from test_cli import _fault_layers, nan_layer
 from test_runner import hadamard_where_f_is_1
 
 RUNNERS = {Mode.REFINED: run_refined, Mode.ORIGINAL: run_original}
@@ -69,10 +71,29 @@ def test_rows_equal_one_table_runs(mode):
 @pytest.mark.parametrize("shots", [1, 64, 1000])
 def test_histograms_equal_one_table_samples(mode, shots):
     tables = mixed_tables()
-    probs = [out.final_probabilities for out in run_tables(tables, mode)]
-    for t, p, hist in zip(tables, probs, _histograms(probs, shots, 11)):
-        want = sample_counts(RUNNERS[mode](t).final_probabilities, shots, 11)
-        assert hist == {format(i, f"0{t.n}b"): c for i, c in want.items()}, t.text
+    for s in run_stacks(tables, mode):
+        for i, hist in zip(s.rows, _histogram_texts(s.probabilities, shots, 11, None)):
+            t = tables[i]
+            want = sample_counts(RUNNERS[mode](t).final_probabilities, shots, 11)
+            assert hist == "".join(f"\n  {k:0{t.n}b} {c}" for k, c in want.items()), t.text
+
+
+@pytest.mark.parametrize(
+    "mode,shots",
+    [("refined", 0), ("refined", 64), ("original", 0), ("original", 64), ("classical", 0)],
+)
+def test_text_view_equals_each_table_alone(capsys, tmp_path, mode, shots):
+    tables = [t.text for t in mixed_tables()]
+    path = tmp_path / "tables.txt"
+    path.write_text("\n".join(tables) + "\n", encoding="utf-8")
+    flags = ["--mode", mode, "--shots", str(shots), "--seed", "7"]
+    assert djphase.cli.main(["run", "--truth-file", str(path), *flags]) == 0
+    batch = capsys.readouterr().out
+    alone = []
+    for text in tables:
+        assert djphase.cli.main(["run", "--truth", text, *flags]) == 0
+        alone.append(capsys.readouterr().out)
+    assert batch == "\n".join(alone)
 
 
 def _with_stray_cz(n, coeffs):
@@ -117,6 +138,75 @@ def test_a_bad_table_stops_the_batch_before_any_run(monkeypatch):
     tables = [parse_truth_table("0110"), parse_truth_table("0111")]
     with pytest.raises(djphase.dj_runner.PromiseViolationError, match="0111"):
         run_tables(tables, Mode.REFINED)
+
+
+def _check_run_error(tables, mode, tol):
+    """(type, message) of check_run on the first table it rejects, in order, or None."""
+    for t in tables:
+        try:
+            djphase.dj_runner.check_run(t, mode, tol)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _prologue_lists(mode, seed):
+    """Shuffled lists of balanced and constant tables for n = 1-8, each with none, one
+    or several of: promise violations and a table too large for mode."""
+    rng = random.Random(seed)
+    good = [_balanced(n, rng) for n in range(1, 9) for _ in range(3)]
+    good += [TruthTable(n, bytes([v]) * (1 << n)) for n in range(1, 9) for v in (0, 1)]
+    too_large = 21 if mode == Mode.REFINED else 20
+    bad = [parse_truth_table("0111"), parse_truth_table("00000001" * 4),
+           TruthTable(too_large, bytes(1 << too_large))]
+    for extra in ([], bad[:1], bad[1:], bad, bad[::-1] + bad[:1]):
+        tables = good + extra
+        rng.shuffle(tables)
+        yield tables
+
+
+@pytest.mark.parametrize("mode", [Mode.REFINED, Mode.ORIGINAL])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_prologue_raises_as_check_run(monkeypatch, mode, seed):
+    # No run may start before every table is checked: any run fails on the None.
+    monkeypatch.setattr(djphase.dj_runner, "hadamard_basis_state", None)
+    for tables in _prologue_lists(mode, seed):
+        for tol in (1e-9, 0.25, 0.0, 0.5, float("nan")):
+            want = _check_run_error(tables, mode, tol)
+            with pytest.raises(ValueError if want else TypeError) as info:
+                run_stacks(tables, mode, tol)
+            if want:
+                assert (type(info.value), str(info.value)) == want
+
+
+FAULTED = {
+    Mode.REFINED: "final probabilities sum to nan",
+    Mode.ORIGINAL: "working qubit purity nan",
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.REFINED, Mode.ORIGINAL])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_read_out_raises_as_the_first_failing_table(monkeypatch, mode, seed):
+    # A NaN in the last state of every stack: that row fails its read-out, as its table
+    # does alone, and the first of those rows in file order is reported.
+    _fault_layers(monkeypatch, nan_layer)
+    tables = next(_prologue_lists(mode, seed))
+    last = [rows[-1] for rows in stacks([1 << (t.n + (mode == Mode.ORIGINAL)) for t in tables])]
+    with pytest.raises(SelfCheckError) as alone:
+        RUNNERS[mode](tables[min(last)])
+    with pytest.raises(SelfCheckError) as info:
+        run_stacks(tables, mode)
+    assert str(info.value) == str(alone.value)
+    assert str(info.value).startswith(FAULTED[mode])
+
+
+def test_a_purity_drift_alone_fails_the_read_out(monkeypatch):
+    # Each zero amplitude and sum still passes; only the purity band can fail the rows.
+    purity = djphase.dj_runner.qubit_purity
+    monkeypatch.setattr(djphase.dj_runner, "qubit_purity", lambda *a: purity(*a) - 1e-6)
+    with pytest.raises(SelfCheckError, match=r"^working qubit purity 0\.999998\d* drifted"):
+        run_stacks(mixed_tables(), Mode.ORIGINAL)
 
 
 def _complex_hadamard_basis_state(*args, **kwargs):
